@@ -10,12 +10,18 @@ records for unified evaluation.
 """
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from clner import numcore as nc
-from clner.encoder import TransformerEncoder, fan_in_uniform
+from clner.encoder import (
+    EncoderModel,
+    TransformerEncoder,
+    fan_in_uniform,
+    length_mask,
+    pad_batch,
+)
 
 DEFAULT_PAD_CONSTANT = 1e-4
 
@@ -144,7 +150,38 @@ def _spans_from_tags(tags: Sequence[str], scores: Sequence[float]):
     return spans
 
 
-class AddNerTagger:
+def _flat_rows(encoder: TransformerEncoder, batch_ids, train, rng):
+    """Encode a padded batch and flatten it to (B * n, d) token rows.
+    Returns the rows, the (B * n,) real-row indicator, n and the lengths."""
+    ids, lengths = pad_batch(batch_ids)
+    hidden = encoder.encode(ids, train=train, rng=rng, lengths=lengths)
+    batch, n, d = hidden.shape
+    return nc.reshape(hidden, (batch * n, d)), length_mask(lengths, n).reshape(-1), n, lengths
+
+
+def _gold_rows(
+    batch_gold, types: Sequence[str], tag_list: Sequence[str], n: int, lengths
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per flattened row: the id in ``tag_list`` (O first) of the gold IOB
+    tag over ``types``, and whether that tag is an entity tag. Padding
+    rows get O."""
+    gold_ids = np.zeros(len(lengths) * n, dtype=np.int64)
+    for b, (spans, size) in enumerate(zip(batch_gold, lengths)):
+        tags = iob_encode(spans, types, int(size))
+        gold_ids[b * n : b * n + size] = [tag_list.index(t) for t in tags]
+    return gold_ids, (gold_ids > 0).astype(np.float64)
+
+
+def _reference_rows(dists, width: int, n: int, lengths) -> np.ndarray:
+    """Per-sentence teacher rows placed at their flattened row offsets;
+    padding rows hold a uniform distribution (masked out of the loss)."""
+    ref = np.full((len(lengths) * n, width), 1.0 / width)
+    for b, (dist, size) in enumerate(zip(dists, lengths)):
+        ref[b * n : b * n + size] = dist
+    return ref
+
+
+class AddNerTagger(EncoderModel):
     """Multi-head IOB tagger: one (1 + 2*|E_l|)-way head per task."""
 
     def __init__(self, encoder: TransformerEncoder):
@@ -166,63 +203,50 @@ class AddNerTagger:
         self.weights.append(nc.parameter(fan_in_uniform(rng, (d, width))))
         self.biases.append(nc.parameter(np.zeros(width)))
 
-    def named_parameters(self) -> dict[str, nc.Tensor]:
-        params = dict(self.encoder.named_parameters())
+    def head_named(self) -> dict[str, nc.Tensor]:
+        params = {}
         for idx in range(len(self.task_types)):
             params[f"heads.task{idx + 1}.w"] = self.weights[idx]
             params[f"heads.task{idx + 1}.b"] = self.biases[idx]
         return params
 
-    def encoder_parameters(self) -> list[nc.Tensor]:
-        return self.encoder.parameters()
-
-    def head_parameters(self) -> list[nc.Tensor]:
-        return [p for pair in zip(self.weights, self.biases) for p in pair]
-
-    def load_arrays(self, arrays: Mapping[str, np.ndarray]) -> None:
-        _load_named(self.named_parameters(), arrays)
-
     def _head_logits(self, hidden: nc.Tensor, idx: int) -> nc.Tensor:
         return nc.matmul(hidden, self.weights[idx]) + self.biases[idx]
 
-    def sentence_loss(
+    def batch_loss(
         self,
-        token_ids: Sequence[int],
-        gold_spans: Iterable,
+        batch_ids: Sequence[Sequence[int]],
+        batch_gold: Sequence[Iterable],
         current_types: Sequence[str],
-        distilled: Sequence[np.ndarray] | None,
+        distilled: Sequence[Sequence[np.ndarray]] | None,
         alpha: float,
         beta: float,
         train: bool,
         rng: np.random.Generator | None,
     ) -> nc.Tensor:
-        """Cross entropy on heads whose types are current; Bernoulli-free
-        KL against the teacher's own-head softmax on the older heads."""
-        hidden = self.encoder.encode(token_ids, train=train, rng=rng)
-        n = len(token_ids)
+        """Mean over the batch of each sentence's loss: cross entropy on
+        heads whose types are current; Bernoulli-free KL against the
+        teacher's own-head softmax on the older heads."""
+        rows, real, n, lengths = _flat_rows(self.encoder, batch_ids, train, rng)
         current = set(current_types)
+        taught = min(len(d) for d in distilled) if distilled is not None else 0
         loss: nc.Tensor | None = None
         for idx, types in enumerate(self.task_types):
             if set(types) <= current:
-                tag_list = head_tag_list(types)
-                tag_ids = [
-                    tag_list.index(t) for t in iob_encode(gold_spans, types, n)
-                ]
+                gold_ids, _ = _gold_rows(batch_gold, types, head_tag_list(types), n, lengths)
                 term = nc.mul(
-                    nc.cross_entropy_rows(self._head_logits(hidden, idx), tag_ids),
-                    alpha,
+                    nc.cross_entropy_rows(self._head_logits(rows, idx), gold_ids, real), alpha
                 )
-            elif distilled is not None and idx < len(distilled):
-                term = nc.mul(
-                    nc.kl_div_rows(self._head_logits(hidden, idx), distilled[idx]),
-                    beta,
-                )
+            elif idx < taught:
+                width = self.weights[idx].shape[1]
+                ref = _reference_rows([d[idx] for d in distilled], width, n, lengths)
+                term = nc.mul(nc.kl_div_rows(self._head_logits(rows, idx), ref, real), beta)
             else:
                 continue
             loss = term if loss is None else loss + term
         if loss is None:
-            raise ValueError("no head received a training signal for this sentence")
-        return loss
+            raise ValueError("no head received a training signal for this batch")
+        return nc.mul(loss, 1.0 / len(lengths))
 
     def teacher_predict(
         self, sentences_ids: Sequence[Sequence[int]], old_types: Sequence[str]
@@ -251,7 +275,7 @@ class AddNerTagger:
         return _spans_from_tags(tags, scores)
 
 
-class ExtendNerTagger:
+class ExtendNerTagger(EncoderModel):
     """Single-head IOB tagger with a global O tag; the head widens by
     2*|new types| outputs per task, keeping old tag indices as a prefix."""
 
@@ -291,52 +315,41 @@ class ExtendNerTagger:
         self.weight = nc.parameter(new_w)
         self.bias = nc.parameter(new_b)
 
-    def named_parameters(self) -> dict[str, nc.Tensor]:
-        params = dict(self.encoder.named_parameters())
-        params["head.w"] = self.weight
-        params["head.b"] = self.bias
-        return params
-
-    def encoder_parameters(self) -> list[nc.Tensor]:
-        return self.encoder.parameters()
-
-    def head_parameters(self) -> list[nc.Tensor]:
-        return [self.weight, self.bias]
-
-    def load_arrays(self, arrays: Mapping[str, np.ndarray]) -> None:
-        _load_named(self.named_parameters(), arrays)
+    def head_named(self) -> dict[str, nc.Tensor]:
+        return {"head.w": self.weight, "head.b": self.bias}
 
     def _logits(self, hidden: nc.Tensor) -> nc.Tensor:
         return nc.matmul(hidden, self.weight) + self.bias
 
-    def sentence_loss(
+    def batch_loss(
         self,
-        token_ids: Sequence[int],
-        gold_spans: Iterable,
+        batch_ids: Sequence[Sequence[int]],
+        batch_gold: Sequence[Iterable],
         current_types: Sequence[str],
-        distilled: np.ndarray | None,
+        distilled: Sequence[np.ndarray] | None,
         alpha: float,
         beta: float,
         train: bool,
         rng: np.random.Generator | None,
     ) -> nc.Tensor:
-        """Tokens whose gold is a current-task entity tag take cross
-        entropy with the gold; every other token takes KL against the
-        teacher's padded distribution when a teacher exists, else cross
-        entropy with its O gold."""
-        hidden = self.encoder.encode(token_ids, train=train, rng=rng)
-        logits = self._logits(hidden)
-        n = len(token_ids)
-        tag_list = self.tag_list
-        gold_tags = iob_encode(gold_spans, current_types, n)
-        gold_ids = [tag_list.index(t) for t in gold_tags]
-        entity_mask = np.array([0.0 if t == "O" else 1.0 for t in gold_tags])
+        """Mean over the batch of each sentence's loss: tokens whose gold
+        is a current-task entity tag take cross entropy with the gold;
+        every other token takes KL against the teacher's padded
+        distribution when a teacher exists, else cross entropy with its O
+        gold."""
+        rows, real, n, lengths = _flat_rows(self.encoder, batch_ids, train, rng)
+        logits = self._logits(rows)
+        width = len(self.tag_list)
+        gold_ids, entity = _gold_rows(batch_gold, current_types, self.tag_list, n, lengths)
         if distilled is None:
-            return nc.mul(nc.cross_entropy_rows(logits, gold_ids), alpha)
-        padded = pad_distilled_distribution(distilled, len(tag_list), self.pad_constant)
-        ce = nc.cross_entropy_rows(logits, gold_ids, entity_mask)
-        kl = nc.kl_div_rows(logits, padded, 1.0 - entity_mask)
-        return nc.mul(ce, alpha) + nc.mul(kl, beta)
+            loss = nc.mul(nc.cross_entropy_rows(logits, gold_ids, real), alpha)
+        else:
+            padded = [pad_distilled_distribution(d, width, self.pad_constant) for d in distilled]
+            ref = _reference_rows(padded, width, n, lengths)
+            ce = nc.cross_entropy_rows(logits, gold_ids, real * entity)
+            kl = nc.kl_div_rows(logits, ref, real * (1.0 - entity))
+            loss = nc.mul(ce, alpha) + nc.mul(kl, beta)
+        return nc.mul(loss, 1.0 / len(lengths))
 
     def teacher_predict(
         self, sentences_ids: Sequence[Sequence[int]], old_types: Sequence[str]
@@ -358,17 +371,3 @@ class ExtendNerTagger:
         tags = [tag_list[i] for i in ids]
         scores = [float(probs[pos, i]) for pos, i in enumerate(ids)]
         return _spans_from_tags(tags, scores)
-
-
-def _load_named(params: dict[str, nc.Tensor], arrays: Mapping[str, np.ndarray]) -> None:
-    missing = set(params) - set(arrays)
-    if missing:
-        raise ValueError(f"checkpoint missing parameters: {sorted(missing)}")
-    for name, tensor in params.items():
-        arr = np.asarray(arrays[name], dtype=np.float64)
-        if arr.shape != tensor.shape:
-            raise ValueError(
-                f"checkpoint shape {arr.shape} for {name} does not match "
-                f"model shape {tensor.shape}"
-            )
-        tensor.data = arr.copy()

@@ -26,7 +26,7 @@ import numpy as np
 
 from clner import numcore as nc
 from clner.baselines import AddNerTagger, ExtendNerTagger
-from clner.cldata import Sentence, SynthesizedBenchmark
+from clner.cldata import CorpusError, Sentence, SynthesizedBenchmark
 from clner.encoder import EncoderConfig, TransformerEncoder, Vocab
 from clner.metrics import StepEval, evaluate_step
 from clner.spankl import SpanKLModel
@@ -231,15 +231,17 @@ class _Trainer:
         span = max(1, total - warmup)
         return 0.5 * (1.0 + np.cos(np.pi * (t - warmup) / span))
 
-    def evaluate(self, model, sentences: Sequence[Sentence], eval_types: Sequence[str], step: int) -> StepEval:
-        """Decode with every learned head, then score only eval_types."""
+    def evaluate(
+        self, model, sentences: Sequence[Sentence], eval_types: Sequence[str], step: int
+    ) -> tuple[StepEval, list[list[tuple]]]:
+        """Decode with every learned head, one sentence per call, then
+        score only eval_types. Returns the scores and every decoded span
+        list."""
         wanted = set(eval_types)
-        preds, golds = [], []
-        for sent in sentences:
-            spans = model.predict(self.ids_of(sent))
-            preds.append([(i, j, t) for i, j, t, _ in spans if t in wanted])
-            golds.append([(s.start, s.end, s.type) for s in sent.spans])
-        return evaluate_step(step, golds, preds, list(eval_types), self.grouping)
+        decoded = [model.predict(self.ids_of(sent)) for sent in sentences]
+        preds = [[(i, j, t) for i, j, t, _ in spans if t in wanted] for spans in decoded]
+        golds = [[(s.start, s.end, s.type) for s in sent.spans] for sent in sentences]
+        return evaluate_step(step, golds, preds, list(eval_types), self.grouping), decoded
 
     def train_step(
         self,
@@ -252,8 +254,13 @@ class _Trainer:
         distilled: Sequence | None,
     ) -> tuple[list[float], int]:
         """Multi-epoch training with dev-based selection; the model ends
-        holding the weights of the best dev epoch (later epochs win ties)."""
+        holding the weights of the best dev epoch (later epochs win ties).
+        Each mini-batch is one padded graph and one loss call. A frozen
+        encoder is kept out of the graph, so it gathers no gradient."""
         cfg = self.config
+        for p in model.encoder_parameters():
+            p.requires_grad = not cfg.freeze_encoder
+            p.grad = None
         opt = self.optimizer(model)
         base_lrs = [g["lr"] for g in opt.groups]
         shuffle_rng = stream_rng(cfg.seed, _SHUFFLE, step)
@@ -265,27 +272,24 @@ class _Trainer:
         total_opt_steps = cfg.epochs * n_batches
         dev_curve: list[float] = []
         best: tuple[float, int, dict[str, np.ndarray]] | None = None
+        ids = [self.ids_of(sent) for sent in train_sents]
+        golds = [[tuple(s) for s in sent.spans] for sent in train_sents]
         opt_step = 0
         for epoch in range(1, cfg.epochs + 1):
             order = shuffle_rng.permutation(n)
             for b in range(n_batches):
                 batch = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
                 opt.zero_grad()
-                loss = None
-                for idx in batch:
-                    sent = train_sents[idx]
-                    term = model.sentence_loss(
-                        self.ids_of(sent),
-                        [tuple(s) for s in sent.spans],
-                        current_types,
-                        distilled[idx] if distilled is not None else None,
-                        cfg.alpha,
-                        cfg.beta,
-                        True,
-                        dropout_rng,
-                    )
-                    loss = term if loss is None else loss + term
-                loss = nc.mul(loss, 1.0 / len(batch))
+                loss = model.batch_loss(
+                    [ids[idx] for idx in batch],
+                    [golds[idx] for idx in batch],
+                    current_types,
+                    [distilled[idx] for idx in batch] if distilled is not None else None,
+                    cfg.alpha,
+                    cfg.beta,
+                    True,
+                    dropout_rng,
+                )
                 loss.backward()
                 opt_step += 1
                 if cfg.schedule == "warmup_cosine":
@@ -293,10 +297,10 @@ class _Trainer:
                     for group, base in zip(opt.groups, base_lrs):
                         group["lr"] = base * factor
                 opt.step()
-            dev_f1 = self.evaluate(model, dev_sents, dev_types, step).macro if dev_sents else 0.0
+            dev_f1 = self.evaluate(model, dev_sents, dev_types, step)[0].macro if dev_sents else 0.0
             dev_curve.append(dev_f1)
             if best is None or dev_f1 >= best[0]:
-                snapshot = {k: v.data.copy() for k, v in model.named_parameters().items()}
+                snapshot = {k: v.copy() for k, v in model.state_arrays().items()}
                 best = (dev_f1, epoch, snapshot)
         model.load_arrays(best[2])
         return dev_curve, best[1]
@@ -309,14 +313,15 @@ class _Trainer:
         d.mkdir(parents=True, exist_ok=True)
         return d
 
-    def dump_step(self, model, mode: str, step: int, record: StepRecord, test_sents) -> None:
+    def dump_step(
+        self, model, mode: str, step: int, record: StepRecord, test_sents, decoded
+    ) -> None:
+        """Write the step's checkpoint, dev record, teacher digest and the
+        test-set spans ``evaluate`` already decoded."""
         d = self.step_dir(mode, step)
         if d is None:
             return
-        nc.save_checkpoint(
-            d / "checkpoint.bin",
-            {k: v.data for k, v in model.named_parameters().items()},
-        )
+        nc.save_checkpoint(d / "checkpoint.bin", model.state_arrays())
         (d / "dev_record.json").write_text(
             json.dumps(
                 {
@@ -331,8 +336,7 @@ class _Trainer:
         if record.teacher_digest is not None:
             (d / "teacher_digest.txt").write_text(record.teacher_digest + "\n")
         lines = []
-        for idx, sent in enumerate(test_sents):
-            spans = model.predict(self.ids_of(sent))
+        for idx, (sent, spans) in enumerate(zip(test_sents, decoded)):
             rec = {"index": idx, "spans": [[i, j, t, s] for i, j, t, s in spans]}
             if self.config.dump_matrices and isinstance(model, SpanKLModel):
                 mats = model.logits(self.ids_of(sent))
@@ -343,10 +347,26 @@ class _Trainer:
         (d / "predictions.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def check_lengths(bench: SynthesizedBenchmark, max_len: int, mode: str) -> None:
+    """Reject, before any training, a sentence the run would use that is
+    longer than the encoder's max_len; the error names the task, the
+    split and the 0-based sentence index."""
+    splits = ("train", "dev", "test") if mode == "cl" else ("train_full", "dev_full", "test")
+    for l, task in enumerate(bench.tasks, start=1):
+        for split in splits:
+            for idx, sent in enumerate(getattr(task, split)):
+                if len(sent.tokens) > max_len:
+                    raise CorpusError(
+                        f"task {l} {split} sentence {idx}: length {len(sent.tokens)} "
+                        f"exceeds max_len {max_len}"
+                    )
+
+
 def run_cl(config: RunConfig, bench: SynthesizedBenchmark, out_dir=None) -> RunResult:
     """The continual protocol: teacher predictions (one-off, with the
     previous step's selected model, before head growth), grow, train,
     select by dev macro-F1, evaluate on the step's test set."""
+    check_lengths(bench, config.max_len, "cl")
     tr = _Trainer(config, bench, out_dir)
     result = RunResult(
         mode="cl",
@@ -384,10 +404,10 @@ def run_cl(config: RunConfig, bench: SynthesizedBenchmark, out_dir=None) -> RunR
             distilled,
         )
         learned = bench.sequence.cumulative_types(step)
-        step_eval = tr.evaluate(model, bench.tasks[step - 1].test, learned, step)
+        step_eval, decoded = tr.evaluate(model, bench.tasks[step - 1].test, learned, step)
         record = StepRecord(step, dev_curve, chosen, step_eval, digest)
         result.steps.append(record)
-        tr.dump_step(model, "cl", step, record, bench.tasks[step - 1].test)
+        tr.dump_step(model, "cl", step, record, bench.tasks[step - 1].test, decoded)
         log.info(
             "cl step %d/%d: dev %s, selected epoch %d, test macro %.4f",
             step, len(bench.sequence), [f"{x:.3f}" for x in dev_curve], chosen,
@@ -401,6 +421,7 @@ def run_cl(config: RunConfig, bench: SynthesizedBenchmark, out_dir=None) -> RunR
 def run_noncl(config: RunConfig, bench: SynthesizedBenchmark, out_dir=None) -> RunResult:
     """Per-step upper bound: train from scratch on the union of tasks
     1..l with annotations restored for every type learned so far."""
+    check_lengths(bench, config.max_len, "noncl")
     tr = _Trainer(config, bench, out_dir)
     result = RunResult(
         mode="noncl",
@@ -425,10 +446,10 @@ def run_noncl(config: RunConfig, bench: SynthesizedBenchmark, out_dir=None) -> R
             learned,
             None,
         )
-        step_eval = tr.evaluate(model, bench.tasks[step - 1].test, learned, step)
+        step_eval, decoded = tr.evaluate(model, bench.tasks[step - 1].test, learned, step)
         record = StepRecord(step, dev_curve, chosen, step_eval)
         result.steps.append(record)
-        tr.dump_step(model, "noncl", step, record, bench.tasks[step - 1].test)
+        tr.dump_step(model, "noncl", step, record, bench.tasks[step - 1].test, decoded)
         log.info(
             "noncl step %d/%d: selected epoch %d, test macro %.4f",
             step, len(bench.sequence), chosen, step_eval.macro,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -88,6 +88,23 @@ def fan_in_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
     return rng.uniform(-bound, bound, size=shape)
 
 
+def pad_batch(batch_ids: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad sentences with the padding id into a (B, n_max) id array;
+    returns it with the (B,) true lengths."""
+    lengths = np.array([len(ids) for ids in batch_ids], dtype=np.int64)
+    if not len(lengths) or lengths.min() == 0:
+        raise ValueError("cannot encode an empty sentence")
+    ids = np.full((len(lengths), lengths.max()), Vocab.pad_id, dtype=np.int64)
+    for row, sent in zip(ids, batch_ids):
+        row[: len(sent)] = sent
+    return ids, lengths
+
+
+def length_mask(lengths: np.ndarray, n: int) -> np.ndarray:
+    """(B, n) indicator of real (non-padding) positions."""
+    return (np.arange(n)[None, :] < np.asarray(lengths)[:, None]).astype(np.float64)
+
+
 class TransformerEncoder:
     """Single attention layer producing one contextual vector per token."""
 
@@ -128,33 +145,111 @@ class TransformerEncoder:
 
     def encode(
         self,
-        token_ids: Sequence[int],
+        token_ids,
         train: bool = False,
         rng: np.random.Generator | None = None,
+        lengths: Sequence[int] | None = None,
     ) -> nc.Tensor:
-        """Token ids -> (n, d_model) contextual vectors. Deterministic when
-        train is off; train mode applies dropout from the given rng."""
-        n = len(token_ids)
-        if n == 0:
+        """Token ids -> contextual vectors. A flat id sequence gives
+        (n, d_model); a right-padded (B, n) id array gives (B, n, d_model),
+        with ``lengths`` the true length of each row (default: all n).
+        Padding keys are masked out of attention, so real rows do not
+        depend on padding. Deterministic when train is off; train mode
+        draws dropout from ``rng`` one sentence at a time, in row order,
+        as an (n_i, d_model) block each."""
+        ids = np.asarray(token_ids, dtype=np.int64)
+        single = ids.ndim == 1
+        if single:
+            ids = ids[None, :]
+        batch, n = ids.shape
+        lengths = np.full(batch, n) if lengths is None else np.asarray(lengths, dtype=np.int64)
+        if n == 0 or lengths.min() < 1:
             raise ValueError("cannot encode an empty sentence")
-        if n > self.config.max_len:
+        if lengths.max() > self.config.max_len:
             raise ValueError(
-                f"sentence length {n} exceeds max_len {self.config.max_len}"
+                f"sentence length {lengths.max()} exceeds max_len {self.config.max_len}"
             )
         cfg = self.config
         d, heads = cfg.d_model, cfg.n_heads
         dk = d // heads
-        e = nc.gather_rows(self.tok_emb, token_ids) + self.pos_emb[0:n]
-        q = nc.matmul(e, self.w_q) + self.b_q
-        k = nc.matmul(e, self.w_k) + self.b_k
-        v = nc.matmul(e, self.w_v) + self.b_v
-        outputs = []
-        scale = dk**-0.5
-        for h in range(heads):
-            cols = slice(h * dk, (h + 1) * dk)
-            scores = nc.matmul(q[:, cols], nc.transpose(k[:, cols])) * scale
-            attn = nc.softmax(scores, axis=1)
-            outputs.append(nc.matmul(attn, v[:, cols]))
-        attended = nc.matmul(nc.concat(outputs, axis=1), self.w_o) + self.b_o
+        e = nc.gather_rows(self.tok_emb, ids) + self.pos_emb[0:n]
+
+        def split_heads(x: nc.Tensor, axes: tuple[int, ...]) -> nc.Tensor:
+            return nc.permute(nc.reshape(x, (batch, n, heads, dk)), axes)
+
+        q = split_heads(nc.matmul(e, self.w_q) + self.b_q, (0, 2, 1, 3))
+        k = split_heads(nc.matmul(e, self.w_k) + self.b_k, (0, 2, 3, 1))
+        v = split_heads(nc.matmul(e, self.w_v) + self.b_v, (0, 2, 1, 3))
+        scores = nc.matmul(q, k) * dk**-0.5
+        if lengths.min() < n:
+            keys = length_mask(lengths, n)[:, None, None, :]
+            scores = scores + np.where(keys > 0.0, 0.0, -np.inf)
+        attn = nc.softmax(scores, axis=-1)
+        merged = nc.reshape(nc.permute(nc.matmul(attn, v), (0, 2, 1, 3)), (batch, n, d))
+        attended = nc.matmul(merged, self.w_o) + self.b_o
         hidden = nc.layer_norm(e + attended, self.ln_gain, self.ln_bias)
-        return nc.dropout(hidden, cfg.dropout, train, rng)
+        if train and cfg.dropout > 0.0:
+            if rng is None:
+                raise ValueError("dropout in train mode needs an explicit rng")
+            keep = np.zeros((batch, n, d))
+            for row, length in zip(keep, lengths):
+                row[:length] = rng.random((length, d)) >= cfg.dropout
+            hidden = hidden * (keep / (1.0 - cfg.dropout))
+        return nc.reshape(hidden, (n, d)) if single else hidden
+
+
+class EncoderModel:
+    """What the span model and the taggers share: an encoder plus the
+    heads that ``head_named`` lists, checkpoints written from
+    ``state_arrays`` and restored by ``load_arrays``, and the one-sentence
+    loss as a batch of one through the subclass's ``batch_loss``."""
+
+    encoder: TransformerEncoder
+
+    def head_named(self) -> dict[str, nc.Tensor]:
+        raise NotImplementedError
+
+    def named_parameters(self) -> dict[str, nc.Tensor]:
+        return self.encoder.named_parameters() | self.head_named()
+
+    def encoder_parameters(self) -> list[nc.Tensor]:
+        return self.encoder.parameters()
+
+    def head_parameters(self) -> list[nc.Tensor]:
+        return list(self.head_named().values())
+
+    def sentence_loss(
+        self,
+        token_ids: Sequence[int],
+        gold_spans: Iterable,
+        current_types: Sequence[str],
+        distilled,
+        alpha: float,
+        beta: float,
+        train: bool,
+        rng: np.random.Generator | None,
+    ) -> nc.Tensor:
+        """One sentence's loss: ``batch_loss`` on a batch of one, with
+        ``distilled`` that sentence's teacher labels or None."""
+        return self.batch_loss(
+            [token_ids], [gold_spans], current_types,
+            None if distilled is None else [distilled], alpha, beta, train, rng,
+        )
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """Parameter values under their checkpoint names (not copies)."""
+        return {name: p.data for name, p in self.named_parameters().items()}
+
+    def load_arrays(self, arrays: Mapping[str, np.ndarray]) -> None:
+        params = self.named_parameters()
+        missing = set(params) - set(arrays)
+        if missing:
+            raise ValueError(f"checkpoint missing parameters: {sorted(missing)}")
+        for name, tensor in params.items():
+            arr = np.asarray(arrays[name], dtype=np.float64)
+            if arr.shape != tensor.shape:
+                raise ValueError(
+                    f"checkpoint shape {arr.shape} for {name} does not match "
+                    f"model shape {tensor.shape}"
+                )
+            tensor.data = arr.copy()

@@ -26,6 +26,8 @@ from clner.numcore.tensor import (
     mean,
     mul,
     parameter,
+    permute,
+    reshape,
     sigmoid,
     softmax,
     sub,
@@ -61,6 +63,8 @@ __all__ = [
     "mean",
     "mul",
     "parameter",
+    "permute",
+    "reshape",
     "save_checkpoint",
     "sigmoid",
     "softmax",

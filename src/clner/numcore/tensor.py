@@ -27,7 +27,9 @@ class Tensor:
     ``grad`` always has the same shape as ``data`` once populated.
     Tensors produced by ops hold links to their inputs (``_parents``) and
     a closure (``_backprop``) that pushes ``grad`` into them; together
-    these links are the compute graph of the forward pass.
+    these links are the compute graph of the forward pass. The closure
+    receives the output gradient as its argument and holds no reference
+    to its own output, so a graph is freed as soon as its loss is.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backprop")
@@ -37,7 +39,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
-        self._backprop: Callable[[], None] | None = None
+        self._backprop: Callable[[np.ndarray], None] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -121,8 +123,9 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -166,7 +169,7 @@ def backward(loss: Tensor) -> None:
     loss.grad += 1.0
     for node in reversed(order):
         if node._backprop is not None:
-            node._backprop()
+            node._backprop(node.grad)
 
 
 def zero_grad(params: Sequence[Tensor]) -> None:
@@ -180,14 +183,22 @@ def zero_grad(params: Sequence[Tensor]) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes; leading axes broadcast as
+    in numpy, so (B, 1, n, d) @ (T, d, k) gives (B, T, n, k). Gradients
+    are summed back over the broadcast axes."""
     a, b = _lift(a), _lift(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    data = a.data @ b.data
+    try:
+        data = a.data @ b.data
+    except ValueError:
+        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}") from None
 
-    def backprop():
-        _accumulate(a, out.grad @ b.data.T)
-        _accumulate(b, a.data.T @ out.grad)
+    def backprop(grad):
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(grad @ np.swapaxes(b.data, -1, -2), a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ grad, b.shape))
 
     out = _make(data, (a, b), backprop)
     return out
@@ -199,9 +210,11 @@ def _broadcast_binary(a: Tensor, b: Tensor, fwd, da, db, name: str) -> Tensor:
     except ValueError:
         raise ShapeError(f"{name}: incompatible shapes {a.shape} and {b.shape}") from None
 
-    def backprop():
-        _accumulate(a, _unbroadcast(da(out.grad), a.shape))
-        _accumulate(b, _unbroadcast(db(out.grad), b.shape))
+    def backprop(grad):
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(da(grad), a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(db(grad), b.shape))
 
     out = _make(data, (a, b), backprop)
     return out
@@ -237,8 +250,8 @@ def sigmoid(x) -> Tensor:
     x = _lift(x)
     s = _stable_sigmoid(x.data)
 
-    def backprop():
-        _accumulate(x, out.grad * s * (1.0 - s))
+    def backprop(grad):
+        _accumulate(x, grad * s * (1.0 - s))
 
     out = _make(s, (x,), backprop)
     return out
@@ -248,8 +261,8 @@ def log(x) -> Tensor:
     x = _lift(x)
     data = np.log(x.data)
 
-    def backprop():
-        _accumulate(x, out.grad / x.data)
+    def backprop(grad):
+        _accumulate(x, grad / x.data)
 
     out = _make(data, (x,), backprop)
     return out
@@ -259,8 +272,8 @@ def exp(x) -> Tensor:
     x = _lift(x)
     data = np.exp(x.data)
 
-    def backprop():
-        _accumulate(x, out.grad * data)
+    def backprop(grad):
+        _accumulate(x, grad * data)
 
     out = _make(data, (x,), backprop)
     return out
@@ -270,8 +283,8 @@ def tanh(x) -> Tensor:
     x = _lift(x)
     data = np.tanh(x.data)
 
-    def backprop():
-        _accumulate(x, out.grad * (1.0 - data * data))
+    def backprop(grad):
+        _accumulate(x, grad * (1.0 - data * data))
 
     out = _make(data, (x,), backprop)
     return out
@@ -283,8 +296,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
 
-    def backprop():
-        g = out.grad
+    def backprop(g):
         _accumulate(x, (g - (g * s).sum(axis=axis, keepdims=True)) * s)
 
     out = _make(s, (x,), backprop)
@@ -296,21 +308,50 @@ def transpose(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError(f"transpose: expected a matrix, got shape {x.shape}")
 
-    def backprop():
-        _accumulate(x, out.grad.T)
+    def backprop(grad):
+        _accumulate(x, grad.T)
 
     out = _make(x.data.T, (x,), backprop)
     return out
 
 
+def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    x = _lift(x)
+    try:
+        data = x.data.reshape(shape)
+    except ValueError:
+        raise ShapeError(f"reshape: cannot view shape {x.shape} as {shape}") from None
+
+    def backprop(grad):
+        _accumulate(x, grad.reshape(x.shape))
+
+    out = _make(data, (x,), backprop)
+    return out
+
+
+def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
+    """Reorder axes as ``numpy.transpose(x, axes)``."""
+    x = _lift(x)
+    if sorted(axes) != list(range(x.data.ndim)):
+        raise ShapeError(f"permute: axes {axes} do not permute shape {x.shape}")
+    inverse = tuple(np.argsort(axes))
+
+    def backprop(grad):
+        _accumulate(x, grad.transpose(inverse))
+
+    out = _make(x.data.transpose(axes), (x,), backprop)
+    return out
+
+
 def tensor_slice(x: Tensor, key) -> Tensor:
-    """Basic (non-fancy) indexing; gradient scatters back into place."""
+    """Basic indexing, or an index array without repeats; gradient
+    scatters back into place."""
     x = _lift(x)
     data = x.data[key]
 
-    def backprop():
+    def backprop(grad):
         g = np.zeros_like(x.data)
-        g[key] += out.grad
+        g[key] += grad
         _accumulate(x, g)
 
     out = _make(data, (x,), backprop)
@@ -330,11 +371,11 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [t.shape[axis] for t in ts]
     offsets = np.cumsum([0] + sizes)
 
-    def backprop():
+    def backprop(grad):
         for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * data.ndim
             idx[axis] = slice(lo, hi)
-            _accumulate(t, out.grad[tuple(idx)])
+            _accumulate(t, grad[tuple(idx)])
 
     out = _make(data, tuple(ts), backprop)
     return out
@@ -344,8 +385,7 @@ def tensor_sum(x: Tensor, axis: int | None = None) -> Tensor:
     x = _lift(x)
     data = x.data.sum(axis=axis)
 
-    def backprop():
-        g = out.grad
+    def backprop(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
         _accumulate(x, np.broadcast_to(g, x.shape).copy())
@@ -359,8 +399,7 @@ def mean(x: Tensor, axis: int | None = None) -> Tensor:
     count = x.size if axis is None else x.shape[axis]
     data = x.data.mean(axis=axis)
 
-    def backprop():
-        g = out.grad
+    def backprop(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
         _accumulate(x, np.broadcast_to(g, x.shape) / count)
@@ -381,8 +420,8 @@ def dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator | None
         raise ValueError("dropout in train mode needs an explicit rng")
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
 
-    def backprop():
-        _accumulate(x, out.grad * mask)
+    def backprop(grad):
+        _accumulate(x, grad * mask)
 
     out = _make(x.data * mask, (x,), backprop)
     return out
@@ -400,9 +439,9 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
         )
     data = table.data[idx]
 
-    def backprop():
+    def backprop(grad):
         g = np.zeros_like(table.data)
-        np.add.at(g, idx, out.grad)
+        np.add.at(g, idx, grad)
         _accumulate(table, g)
 
     out = _make(data, (table,), backprop)
@@ -424,8 +463,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat = xc * inv
     data = xhat * gain.data + bias.data
 
-    def backprop():
-        g = out.grad
+    def backprop(g):
         dxhat = g * gain.data
         dx = inv * (
             dxhat
@@ -463,8 +501,8 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None
     z = logits.data
     data = np.asarray((m * (_softplus(z) - t * z)).sum())
 
-    def backprop():
-        _accumulate(logits, out.grad * m * (_stable_sigmoid(z) - t))
+    def backprop(grad):
+        _accumulate(logits, grad * m * (_stable_sigmoid(z) - t))
 
     out = _make(data, (logits,), backprop)
     return out
@@ -492,8 +530,8 @@ def bernoulli_kl_with_logits(
     cells = p * _softplus(-z) + q * _softplus(z) + p * np.log(p) + q * np.log(q)
     data = np.asarray((m * cells).sum())
 
-    def backprop():
-        _accumulate(logits, out.grad * m * (_stable_sigmoid(z) - p))
+    def backprop(grad):
+        _accumulate(logits, grad * m * (_stable_sigmoid(z) - p))
 
     out = _make(data, (logits,), backprop)
     return out
@@ -523,10 +561,10 @@ def cross_entropy_rows(
     ls = _log_softmax(logits.data)
     data = np.asarray(-(m * ls[np.arange(n), ids]).sum())
 
-    def backprop():
+    def backprop(grad):
         sm = np.exp(ls)
         sm[np.arange(n), ids] -= 1.0
-        _accumulate(logits, out.grad * m[:, None] * sm)
+        _accumulate(logits, grad * m[:, None] * sm)
 
     out = _make(data, (logits,), backprop)
     return out
@@ -556,8 +594,8 @@ def kl_div_rows(
     plogp = np.where(p > 0.0, p * np.log(np.maximum(p, 1e-300)), 0.0)
     data = np.asarray((m * (plogp - p * ls).sum(axis=-1)).sum())
 
-    def backprop():
-        _accumulate(logits, out.grad * m[:, None] * (np.exp(ls) - p))
+    def backprop(grad):
+        _accumulate(logits, grad * m[:, None] * (np.exp(ls) - p))
 
     out = _make(data, (logits,), backprop)
     return out

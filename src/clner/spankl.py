@@ -4,9 +4,12 @@ Every entity type owns two distinct single-layer feed-forward projections
 (start and end); the score of span (i, j) for a type is the scaled dot
 product of the projected boundary vectors, arranged per type into an
 n x n matrix whose upper triangle (i <= j, 1-based) is the meaningful
-region. Training uses per-cell binary cross entropy on the current
-types plus Bernoulli KL against cached teacher probabilities on the old
-types; losses never read cells below the diagonal.
+region. The projections of all types are stacked along a leading type
+axis, so one tensor op scores every type of every sentence in a padded
+batch as a (B, T, n, n) array. Training uses per-cell binary cross
+entropy on the current types plus Bernoulli KL against cached teacher
+probabilities on the old types; losses never read cells below the
+diagonal or past a sentence's end.
 """
 from __future__ import annotations
 
@@ -15,11 +18,14 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from clner import numcore as nc
-from clner.encoder import TransformerEncoder, fan_in_uniform
+from clner.encoder import EncoderModel, TransformerEncoder, fan_in_uniform, length_mask, pad_batch
 
 DEFAULT_SPAN_DIM = 50
 DEFAULT_THRESHOLD = 0.5
 TEACHER_PROB_CLAMP = 1e-7
+# any probability strictly inside (0, 1) serves: masked cells carry no loss
+_PAD_PROB = 0.5
+_HEAD_PARTS = ("start_w", "start_b", "end_w", "end_b")
 
 _TRIU_CACHE: dict[int, np.ndarray] = {}
 
@@ -31,38 +37,25 @@ def triu_mask(n: int) -> np.ndarray:
     return _TRIU_CACHE[n]
 
 
-class TypeHead:
-    """Start and end projections for one entity type; the two are
-    independent parameter sets by construction."""
-
-    def __init__(self, d_hidden: int, d_span: int, rng: np.random.Generator):
-        self.start_w = nc.parameter(fan_in_uniform(rng, (d_hidden, d_span)))
-        self.start_b = nc.parameter(np.zeros(d_span))
-        self.end_w = nc.parameter(fan_in_uniform(rng, (d_hidden, d_span)))
-        self.end_b = nc.parameter(np.zeros(d_span))
-
-    def parameters(self) -> list[nc.Tensor]:
-        return [self.start_w, self.start_b, self.end_w, self.end_b]
-
-
 def span_logits(
-    hidden: nc.Tensor, heads: Mapping[str, TypeHead], types: Iterable[str] | None = None
-) -> dict[str, nc.Tensor]:
-    """Per-type n x n logit matrices: start(h_i) . end(h_j) / sqrt(d_span)."""
-    wanted = list(heads) if types is None else list(types)
-    out: dict[str, nc.Tensor] = {}
-    for t in wanted:
-        head = heads[t]
-        if hidden.shape[1] != head.start_w.shape[0]:
-            raise nc.ShapeError(
-                f"hidden width {hidden.shape[1]} does not match head projection "
-                f"input {head.start_w.shape[0]} for type {t!r}"
-            )
-        d_span = head.start_w.shape[1]
-        start = nc.matmul(hidden, head.start_w) + head.start_b
-        end = nc.matmul(hidden, head.end_w) + head.end_b
-        out[t] = nc.matmul(start, nc.transpose(end)) * (d_span**-0.5)
-    return out
+    hidden: nc.Tensor,
+    start_w: nc.Tensor,
+    start_b: nc.Tensor,
+    end_w: nc.Tensor,
+    end_b: nc.Tensor,
+) -> nc.Tensor:
+    """(B, n, d) boundary vectors and T stacked heads -> (B, T, n, n)
+    logits: start_t(h_i) . end_t(h_j) / sqrt(d_span). Weights are
+    (T, d, d_span), biases (T, 1, d_span)."""
+    batch, n, d = hidden.shape
+    if d != start_w.shape[1]:
+        raise nc.ShapeError(
+            f"hidden width {d} does not match head projection input {start_w.shape[1]}"
+        )
+    rows = nc.reshape(hidden, (batch, 1, n, d))
+    start = nc.matmul(rows, start_w) + start_b
+    end = nc.matmul(rows, end_w) + end_b
+    return nc.matmul(start, nc.permute(end, (0, 1, 3, 2))) * (start_w.shape[2] ** -0.5)
 
 
 def gold_target_matrix(gold_spans: Iterable[tuple[int, int]], n: int) -> np.ndarray:
@@ -72,6 +65,11 @@ def gold_target_matrix(gold_spans: Iterable[tuple[int, int]], n: int) -> np.ndar
             raise ValueError(f"gold span ({i}, {j}) outside a {n}-token sentence")
         target[i - 1, j - 1] = 1.0
     return target
+
+
+def _stack(matrices: Sequence[nc.Tensor]) -> nc.Tensor:
+    n = matrices[0].shape[0]
+    return nc.concat([nc.reshape(m, (1, n, n)) for m in matrices], axis=0)
 
 
 def bce_loss(
@@ -84,16 +82,27 @@ def bce_loss(
     extra = set(gold) - set(current_types)
     if extra:
         raise ValueError(f"gold spans for non-current types: {sorted(extra)}")
-    total: nc.Tensor | None = None
-    for t in current_types:
-        m = matrices[t]
-        n = m.shape[0]
-        target = gold_target_matrix(gold.get(t, ()), n)
-        term = nc.bce_with_logits(m, target, triu_mask(n))
-        total = term if total is None else total + term
-    if total is None:
+    if not current_types:
         raise ValueError("bce_loss needs at least one current type")
-    return total
+    scores = _stack([matrices[t] for t in current_types])
+    n = scores.shape[-1]
+    target = np.stack([gold_target_matrix(gold.get(t, ()), n) for t in current_types])
+    return nc.bce_with_logits(scores, target, np.broadcast_to(triu_mask(n), scores.shape))
+
+
+def _clamped(probs) -> np.ndarray:
+    return np.clip(
+        np.asarray(probs, dtype=np.float64), TEACHER_PROB_CLAMP, 1.0 - TEACHER_PROB_CLAMP
+    )
+
+
+def _check_distilled(distilled: Mapping[str, np.ndarray], old_types: Sequence[str]) -> None:
+    missing = set(old_types) - set(distilled)
+    if missing:
+        raise ValueError(f"distilled labels missing for old types: {sorted(missing)}")
+    extra = set(distilled) - set(old_types)
+    if extra:
+        raise ValueError(f"distilled labels cover unexpected types: {sorted(extra)}")
 
 
 def kd_loss(
@@ -104,30 +113,15 @@ def kd_loss(
     """Bernoulli KL between cached teacher probabilities and the student's
     sigmoid outputs, summed over upper-triangle cells of old types.
     Teacher probabilities are clamped into [1e-7, 1 - 1e-7] first."""
-    missing = set(old_types) - set(distilled)
-    if missing:
-        raise ValueError(f"distilled labels missing for old types: {sorted(missing)}")
-    extra = set(distilled) - set(old_types)
-    if extra:
-        raise ValueError(f"distilled labels cover unexpected types: {sorted(extra)}")
-    total: nc.Tensor | None = None
-    for t in old_types:
-        m = matrices[t]
-        n = m.shape[0]
-        ref = np.clip(
-            np.asarray(distilled[t], dtype=np.float64),
-            TEACHER_PROB_CLAMP,
-            1.0 - TEACHER_PROB_CLAMP,
-        )
-        if ref.shape != (n, n):
-            raise nc.ShapeError(
-                f"distilled matrix for {t!r} has shape {ref.shape}, expected {(n, n)}"
-            )
-        term = nc.bernoulli_kl_with_logits(m, ref, triu_mask(n))
-        total = term if total is None else total + term
-    if total is None:
+    _check_distilled(distilled, old_types)
+    if not old_types:
         raise ValueError("kd_loss needs at least one old type")
-    return total
+    scores = _stack([matrices[t] for t in old_types])
+    n = scores.shape[-1]
+    ref = np.stack([_clamped(distilled[t]) for t in old_types])
+    if ref.shape != scores.shape:
+        raise nc.ShapeError(f"distilled matrices have shape {ref.shape}, expected {scores.shape}")
+    return nc.bernoulli_kl_with_logits(scores, ref, np.broadcast_to(triu_mask(n), scores.shape))
 
 
 def total_loss(bce, kd, alpha: float, beta: float) -> nc.Tensor:
@@ -135,6 +129,14 @@ def total_loss(bce, kd, alpha: float, beta: float) -> nc.Tensor:
     if alpha < 0 or beta < 0:
         raise ValueError(f"loss weights must be non-negative, got {alpha}, {beta}")
     return nc.add(nc.mul(bce, alpha), nc.mul(kd, beta))
+
+
+def _upper_cells(probs: np.ndarray, threshold: float):
+    """(type, i, j) indices of upper-triangle cells above the threshold
+    in a (T, n, n) array, in (type, i, j) order, with their scores."""
+    above = (probs > threshold) & (triu_mask(probs.shape[-1]) > 0.0)
+    t, i, j = np.nonzero(above)
+    return t, i, j, probs[t, i, j]
 
 
 def decode_flat(
@@ -147,25 +149,24 @@ def decode_flat(
     broken by (start, end, type registration order). The map's iteration
     order defines type order.
     """
-    candidates = []
-    for order, (t, probs) in enumerate(prob_matrices.items()):
-        probs = np.asarray(probs)
-        n = probs.shape[0]
-        for i in range(n):
-            for j in range(i, n):
-                score = float(probs[i, j])
-                if score > threshold:
-                    candidates.append((i + 1, j + 1, order, t, score))
-    candidates.sort(key=lambda c: (-c[4], c[0], c[1], c[2]))
+    if not prob_matrices:
+        return []
+    types = list(prob_matrices)
+    t, i, j, score = _upper_cells(np.stack([np.asarray(p) for p in prob_matrices.values()]), threshold)
     accepted: list[tuple[int, int, str, float]] = []
-    for i, j, _, t, score in candidates:
-        if all(j < a_i or a_j < i for a_i, a_j, _, _ in accepted):
-            accepted.append((i, j, t, score))
+    for k in np.lexsort((t, j, i, -score)):
+        a, b = int(i[k]) + 1, int(j[k]) + 1
+        if all(b < a_i or a_j < a for a_i, a_j, _, _ in accepted):
+            accepted.append((a, b, types[t[k]], float(score[k])))
     return accepted
 
 
-class SpanKLModel:
-    """Shared encoder plus a growable set of per-type span heads."""
+class SpanKLModel(EncoderModel):
+    """Shared encoder plus a growable stack of per-type span heads.
+
+    The heads live in four tensors whose leading axis is the type, in
+    registration order; checkpoints still name them per type
+    (``heads.{type}.start_w`` and so on)."""
 
     def __init__(
         self,
@@ -176,50 +177,88 @@ class SpanKLModel:
         self.encoder = encoder
         self.d_span = d_span
         self.threshold = threshold
-        self.heads: dict[str, TypeHead] = {}
+        self.types: tuple[str, ...] = ()
+        d = encoder.config.d_model
+        self.start_w = nc.parameter(np.zeros((0, d, d_span)))
+        self.start_b = nc.parameter(np.zeros((0, 1, d_span)))
+        self.end_w = nc.parameter(np.zeros((0, d, d_span)))
+        self.end_b = nc.parameter(np.zeros((0, 1, d_span)))
 
     # -- structure ---------------------------------------------------------
     def registered_types(self) -> tuple[str, ...]:
-        return tuple(self.heads)
+        return self.types
 
     def grow(self, new_types: Sequence[str], rng: np.random.Generator) -> None:
-        """Register one fresh head per new type; existing heads untouched."""
-        dup = set(new_types) & set(self.heads)
+        """Append one fresh head per new type; existing heads untouched.
+        Each type draws its start then its end projection."""
+        dup = set(new_types) & set(self.types)
         if dup:
             raise ValueError(f"entity types already registered: {sorted(dup)}")
-        for t in new_types:
-            self.heads[t] = TypeHead(self.encoder.config.d_model, self.d_span, rng)
+        if not new_types:
+            return
+        d = self.encoder.config.d_model
+        fresh = [
+            [fan_in_uniform(rng, (d, self.d_span)) for _ in ("start", "end")] for _ in new_types
+        ]
+        zeros = np.zeros((len(new_types), 1, self.d_span))
+        self.start_w = nc.parameter(np.concatenate([self.start_w.data, [s for s, _ in fresh]]))
+        self.start_b = nc.parameter(np.concatenate([self.start_b.data, zeros]))
+        self.end_w = nc.parameter(np.concatenate([self.end_w.data, [e for _, e in fresh]]))
+        self.end_b = nc.parameter(np.concatenate([self.end_b.data, zeros]))
+        self.types = self.types + tuple(new_types)
 
-    def named_parameters(self) -> dict[str, nc.Tensor]:
-        params = dict(self.encoder.named_parameters())
-        for t, head in self.heads.items():
-            params[f"heads.{t}.start_w"] = head.start_w
-            params[f"heads.{t}.start_b"] = head.start_b
-            params[f"heads.{t}.end_w"] = head.end_w
-            params[f"heads.{t}.end_b"] = head.end_b
-        return params
+    def head_named(self) -> dict[str, nc.Tensor]:
+        return {f"heads.{part}": getattr(self, part) for part in _HEAD_PARTS}
 
-    def encoder_parameters(self) -> list[nc.Tensor]:
-        return self.encoder.parameters()
-
-    def head_parameters(self) -> list[nc.Tensor]:
-        return [p for head in self.heads.values() for p in head.parameters()]
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        arrays = {name: p.data for name, p in self.encoder.named_parameters().items()}
+        for part in _HEAD_PARTS:
+            stacked = getattr(self, part).data
+            for k, t in enumerate(self.types):
+                arrays[f"heads.{t}.{part}"] = stacked[k, 0] if part.endswith("_b") else stacked[k]
+        return arrays
 
     def load_arrays(self, arrays: Mapping[str, np.ndarray]) -> None:
-        params = self.named_parameters()
-        missing = set(params) - set(arrays)
+        stacked = dict(arrays)
+        names = [f"heads.{t}.{part}" for part in _HEAD_PARTS for t in self.types]
+        missing = [name for name in names if name not in arrays]
         if missing:
             raise ValueError(f"checkpoint missing parameters: {sorted(missing)}")
-        for name, tensor in params.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != tensor.shape:
-                raise ValueError(
-                    f"checkpoint shape {arr.shape} for {name} does not match "
-                    f"model shape {tensor.shape}"
-                )
-            tensor.data = arr.copy()
+        for part in _HEAD_PARTS:
+            per_type = [np.asarray(arrays[f"heads.{t}.{part}"], dtype=np.float64) for t in self.types]
+            if part.endswith("_b"):
+                per_type = [b[None, :] for b in per_type]
+            stacked[f"heads.{part}"] = (
+                np.stack(per_type) if per_type else getattr(self, part).data
+            )
+        super().load_arrays(stacked)
 
     # -- forward paths -----------------------------------------------------
+    def _heads(self, types: Iterable[str] | None) -> tuple[list[str], list[nc.Tensor]]:
+        """The wanted types and their stacked head parameters."""
+        params = [getattr(self, part) for part in _HEAD_PARTS]
+        if types is None:
+            return list(self.types), params
+        wanted = list(types)
+        rows = [self.types.index(t) for t in wanted]
+        if rows == list(range(len(self.types))):
+            return wanted, params
+        return wanted, [p[np.array(rows, dtype=np.int64)] for p in params]
+
+    def _scores(
+        self,
+        batch_ids: Sequence[Sequence[int]],
+        types: Iterable[str] | None = None,
+        train: bool = False,
+        rng: np.random.Generator | None = None,
+    ) -> tuple[list[str], nc.Tensor, np.ndarray]:
+        """Score a padded batch: the wanted types, their (B, T, n, n)
+        logits and the (B,) sentence lengths."""
+        ids, lengths = pad_batch(batch_ids)
+        wanted, heads = self._heads(types)
+        hidden = self.encoder.encode(ids, train=train, rng=rng, lengths=lengths)
+        return wanted, span_logits(hidden, *heads), lengths
+
     def logits(
         self,
         token_ids: Sequence[int],
@@ -227,48 +266,85 @@ class SpanKLModel:
         train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> dict[str, nc.Tensor]:
-        hidden = self.encoder.encode(token_ids, train=train, rng=rng)
-        return span_logits(hidden, self.heads, types)
+        """Per-type (n, n) logit matrices of one sentence: views of the
+        batch-of-one stacked scores."""
+        wanted, logits, _ = self._scores([token_ids], types, train, rng)
+        return {t: logits[0, k] for k, t in enumerate(wanted)}
 
-    def sentence_loss(
+    def _probs(self, token_ids: Sequence[int], types: Iterable[str] | None = None):
+        """The wanted types and their (T, n, n) sigmoid probabilities for
+        one sentence, detached."""
+        wanted, logits, _ = self._scores([token_ids], types)
+        return wanted, nc.sigmoid(logits).data[0]
+
+    def batch_loss(
         self,
-        token_ids: Sequence[int],
-        gold_spans: Iterable,
+        batch_ids: Sequence[Sequence[int]],
+        batch_gold: Sequence[Iterable],
         current_types: Sequence[str],
-        distilled: Mapping[str, np.ndarray] | None,
+        distilled: Sequence[Mapping[str, np.ndarray]] | None,
         alpha: float,
         beta: float,
         train: bool,
         rng: np.random.Generator | None,
     ) -> nc.Tensor:
-        """alpha * BCE over current types + beta * KL over old types.
-        The KD term is absent when no distilled labels exist (first step
-        or disabled distillation)."""
-        old_types = [t for t in self.heads if t not in current_types]
-        needed = list(current_types) + (old_types if distilled is not None else [])
-        matrices = self.logits(token_ids, needed, train=train, rng=rng)
-        gold: dict[str, list[tuple[int, int]]] = {}
-        for span in gold_spans:
-            gold.setdefault(span[2], []).append((span[0], span[1]))
-        loss = nc.mul(bce_loss(matrices, gold, current_types), alpha)
-        if distilled is not None and old_types:
-            loss = loss + nc.mul(kd_loss(matrices, distilled, old_types), beta)
-        return loss
+        """Mean over the batch of each sentence's alpha * BCE over current
+        types + beta * KL over old types, each summed over the sentence's
+        upper-triangle cells. The KD term is absent when no distilled
+        labels exist (first step or disabled distillation)."""
+        current = set(current_types)
+        unknown = current - set(self.types)
+        if unknown:
+            raise ValueError(f"current types not registered: {sorted(unknown)}")
+        old_types = [t for t in self.types if t not in current]
+        use_kd = distilled is not None and bool(old_types)
+        needed = [t for t in self.types if t in current or use_kd]
+        wanted, logits, lengths = self._scores(batch_ids, needed, train, rng)
+        batch, n = len(lengths), logits.shape[-1]
+        column = {t: k for k, t in enumerate(wanted)}
+        is_current = np.array([t in current for t in wanted], dtype=np.float64)[None, :, None, None]
+        cells = (triu_mask(n) * length_mask(lengths, n)[:, None, :])[:, None]
+        target = np.zeros(logits.shape)
+        for b, spans in enumerate(batch_gold):
+            by_type: dict[str, list[tuple[int, int]]] = {}
+            for span in spans:
+                by_type.setdefault(span[2], []).append((span[0], span[1]))
+            extra = set(by_type) - current
+            if extra:
+                raise ValueError(f"gold spans for non-current types: {sorted(extra)}")
+            size = lengths[b]
+            for t, pairs in by_type.items():
+                target[b, column[t], :size, :size] = gold_target_matrix(pairs, size)
+        loss = nc.mul(nc.bce_with_logits(logits, target, cells * is_current), alpha)
+        if use_kd:
+            ref = np.full(logits.shape, _PAD_PROB)
+            for b, labels in enumerate(distilled):
+                _check_distilled(labels, old_types)
+                size = lengths[b]
+                for t in old_types:
+                    if np.shape(labels[t]) != (size, size):
+                        raise nc.ShapeError(
+                            f"distilled matrix for {t!r} has shape {np.shape(labels[t])}, "
+                            f"expected {(size, size)}"
+                        )
+                    ref[b, column[t], :size, :size] = _clamped(labels[t])
+            kd = nc.bernoulli_kl_with_logits(logits, ref, cells * (1.0 - is_current))
+            loss = loss + nc.mul(kd, beta)
+        return nc.mul(loss, 1.0 / batch)
 
     def teacher_predict(
         self, sentences_ids: Sequence[Sequence[int]], old_types: Sequence[str]
     ) -> list[dict[str, np.ndarray]]:
         """One-off teacher pass: sigmoid probabilities of every old type
-        for every sentence. Returns detached arrays that stay fixed while
-        the student trains. Empty old_types yields empty label sets."""
+        for every sentence, one sentence per call. Returns detached arrays
+        that stay fixed while the student trains. Empty old_types yields
+        empty label sets."""
         if not old_types:
             return [{} for _ in sentences_ids]
         out = []
         for ids in sentences_ids:
-            matrices = self.logits(ids, old_types, train=False)
-            out.append(
-                {t: nc.sigmoid(matrices[t]).numpy() for t in old_types}
-            )
+            wanted, probs = self._probs(ids, old_types)
+            out.append(dict(zip(wanted, probs)))
         return out
 
     def predict(
@@ -278,9 +354,8 @@ class SpanKLModel:
         threshold: float | None = None,
     ) -> list[tuple[int, int, str, float]]:
         """Decode mutually non-overlapping spans above the threshold."""
-        matrices = self.logits(token_ids, types, train=False)
-        probs = {t: nc.sigmoid(m).numpy() for t, m in matrices.items()}
-        return decode_flat(probs, self.threshold if threshold is None else threshold)
+        wanted, probs = self._probs(token_ids, types)
+        return decode_flat(dict(zip(wanted, probs)), self.threshold if threshold is None else threshold)
 
     def predict_nested(
         self,
@@ -292,13 +367,8 @@ class SpanKLModel:
         skipped: the multi-label matrices natively express nested and
         overlapping mentions; flat aggregation is a separate post-step."""
         thr = self.threshold if threshold is None else threshold
-        matrices = self.logits(token_ids, types, train=False)
-        out = []
-        for t, m in matrices.items():
-            probs = nc.sigmoid(m).numpy()
-            n = probs.shape[0]
-            for i in range(n):
-                for j in range(i, n):
-                    if probs[i, j] > thr:
-                        out.append((i + 1, j + 1, t, float(probs[i, j])))
-        return out
+        wanted, probs = self._probs(token_ids, types)
+        t, i, j, score = _upper_cells(probs, thr)
+        return [
+            (int(a) + 1, int(b) + 1, wanted[c], float(s)) for c, a, b, s in zip(t, i, j, score)
+        ]

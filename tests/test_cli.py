@@ -169,6 +169,21 @@ class TestTrain:
         )
         assert code == EXIT_DATA
 
+    def test_overlong_sentence_fails_before_training(self, tmp_path, capsys):
+        bench = synth(tmp_path, **{"--tasks": 3})
+        train_file = bench / "task_03" / "train.txt"
+        index = train_file.read_text().count("\n\n") + 1
+        with train_file.open("a") as fh:
+            fh.write("\n" + "".join(f"tok{k}\tO\n" for k in range(40)))
+        out = tmp_path / "run"
+        code = main(
+            ["train", "--benchmark", str(bench), "--out", str(out)] + TRAIN_FAST
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"task 3 train sentence {index}: length 40 exceeds max_len 32" in err
+        assert not out.exists()
+
     def test_multiple_seeds(self, tmp_path):
         bench = synth(tmp_path)
         out = tmp_path / "run_multi"

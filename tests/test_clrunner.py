@@ -129,6 +129,22 @@ class TestRunCl:
         assert (out / "metrics_cl.tsv").exists()
         assert (out / "curves_cl.csv").exists()
 
+    def test_dump_matrices_adds_matrices_only(self, bench, tmp_path):
+        run_cl(RunConfig(**TINY), bench, tmp_path / "plain")
+        run_cl(RunConfig(**TINY, dump_matrices=True), bench, tmp_path / "dump")
+
+        def records(name):
+            path = tmp_path / name / "cl" / "step_02" / "predictions.jsonl"
+            return [json.loads(line) for line in path.read_text().splitlines()]
+
+        plain, dump = records("plain"), records("dump")
+        learned = set(bench.sequence.cumulative_types(2))
+        for a, b, sent in zip(plain, dump, bench.tasks[1].test):
+            assert b["spans"] == a["spans"]
+            assert set(b["matrices"]) == learned
+            n = len(sent.tokens)
+            assert all(np.shape(m) == (n, n) for m in b["matrices"].values())
+
     def test_resume_reproduces_teacher_cache(self, bench, tmp_path):
         out = tmp_path / "run"
         config = RunConfig(**TINY)
@@ -239,13 +255,23 @@ class TestSchedulesAndFreezing:
         assert tr._lr_factor(100, 100) == pytest.approx(0.0, abs=1e-12)
         assert tr._lr_factor(55, 100) == pytest.approx(0.5)
 
-    def test_frozen_encoder_parameters_stay_put(self, bench, tmp_path):
+    def test_frozen_encoder_parameters_stay_put(self, bench, tmp_path, monkeypatch):
         cfg = dataclasses.replace(RunConfig(**TINY), freeze_encoder=True, epochs=2)
         from clner.clrunner import build_model, stream_rng
         from clner.encoder import Vocab
         from clner.numcore import load_checkpoint
 
+        built = []
+
+        def keep_model(*args):
+            built.append(build_model(*args))
+            return built[-1]
+
+        monkeypatch.setattr(clrunner, "build_model", keep_model)
         run_cl(cfg, bench, tmp_path / "run")
+        # backward never ran through the frozen encoder: no gradient piled up
+        for name, tensor in built[0].encoder.named_parameters().items():
+            assert tensor.grad is None or not np.any(tensor.grad), name
         trained = load_checkpoint(tmp_path / "run" / "cl" / "step_02" / "checkpoint.bin")
         fresh = build_model(cfg, len(Vocab(bench.vocab_tokens)), stream_rng(cfg.seed, 0, 1))
         for name, tensor in fresh.encoder.named_parameters().items():
@@ -254,6 +280,4 @@ class TestSchedulesAndFreezing:
         head_key = f"heads.{bench.sequence.tasks[0].types[0]}.start_w"
         head_fresh = build_model(cfg, len(Vocab(bench.vocab_tokens)), stream_rng(cfg.seed, 0, 1))
         head_fresh.grow(bench.sequence.tasks[0].types, stream_rng(cfg.seed, 1, 1))
-        assert not np.array_equal(
-            trained[head_key], head_fresh.named_parameters()[head_key].data
-        )
+        assert not np.array_equal(trained[head_key], head_fresh.state_arrays()[head_key])

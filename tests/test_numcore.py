@@ -32,6 +32,23 @@ class TestForwardValues:
         with pytest.raises(nc.ShapeError):
             nc.transpose(nc.tensor(np.zeros(3)))
 
+    def test_batched_matmul_matches_per_slice_products(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(2, 1, 3, 4)), rng.normal(size=(5, 4, 2))
+        out = nc.matmul(nc.tensor(a), nc.tensor(b)).data
+        assert out.shape == (2, 5, 3, 2)
+        for i in range(2):
+            for k in range(5):
+                np.testing.assert_array_equal(out[i, k], a[i, 0] @ b[k])
+        with pytest.raises(nc.ShapeError):
+            nc.matmul(nc.tensor(np.zeros((2, 3, 4))), nc.tensor(np.zeros((3, 4, 2))))
+
+    def test_reshape_and_permute_reject_bad_shapes(self):
+        with pytest.raises(nc.ShapeError):
+            nc.reshape(nc.tensor(np.zeros((2, 3))), (4, 2))
+        with pytest.raises(nc.ShapeError):
+            nc.permute(nc.tensor(np.zeros((2, 3))), (0, 0))
+
 
 class TestBackwardBasics:
     def test_linear_derivative(self):
@@ -80,6 +97,23 @@ class TestGradientsMatchFiniteDifferences:
     def test_matmul(self):
         a, b = self.param(3, 4), self.param(4, 2)
         assert_gradients_match(lambda: nc.tensor_sum(nc.sigmoid(nc.matmul(a, b))), [a, b])
+
+    def test_batched_matmul_broadcast(self):
+        # leading axes broadcast both ways: (2, 1, 3, 4) @ (5, 4, 2)
+        a, b = self.param(2, 1, 3, 4), self.param(5, 4, 2)
+        assert_gradients_match(lambda: nc.tensor_sum(nc.sigmoid(nc.matmul(a, b))), [a, b])
+        c = self.param(4, 3)
+        assert_gradients_match(lambda: nc.tensor_sum(nc.sigmoid(nc.matmul(a, c))), [a, c])
+
+    def test_reshape_and_permute(self):
+        x = self.param(2, 3, 4)
+        weights = self.rng.normal(size=(4, 2, 3))
+
+        def loss():
+            moved = nc.permute(nc.reshape(x, (2, 3, 2, 2)), (3, 0, 2, 1))
+            return nc.tensor_sum(nc.mul(nc.sigmoid(nc.reshape(moved, (4, 2, 3))), weights))
+
+        assert_gradients_match(loss, [x])
 
     def test_add_broadcast_bias(self):
         x, b = self.param(3, 4), self.param(4)

@@ -27,42 +27,42 @@ def make_model(seed=0, d_model=16, n_heads=2, d_span=4, max_len=12):
 
 
 def fixed_head(d_hidden, d_span, start_out, end_out):
-    """Head whose projections ignore the input: weights 0, bias = wanted
-    output, so every token maps to the same boundary vector."""
-    head = spankl.TypeHead(d_hidden, d_span, np.random.default_rng(0))
-    head.start_w.data[:] = 0.0
-    head.end_w.data[:] = 0.0
-    head.start_b.data[:] = np.asarray(start_out, dtype=np.float64)
-    head.end_b.data[:] = np.asarray(end_out, dtype=np.float64)
-    return head
+    """A one-type stack of heads whose projections ignore the input:
+    weights 0, bias = wanted output, so every token maps to the same
+    boundary vector. Returns (start_w, start_b, end_w, end_b)."""
+    return (
+        nc.parameter(np.zeros((1, d_hidden, d_span))),
+        nc.parameter(np.asarray(start_out, dtype=np.float64).reshape(1, 1, d_span)),
+        nc.parameter(np.zeros((1, d_hidden, d_span))),
+        nc.parameter(np.asarray(end_out, dtype=np.float64).reshape(1, 1, d_span)),
+    )
 
 
 class TestSpanLogits:
     def test_zero_start_projection_zeroes_all_logits(self):
-        hidden = nc.tensor(np.random.default_rng(1).normal(size=(3, 8)))
+        hidden = nc.tensor(np.random.default_rng(1).normal(size=(1, 3, 8)))
         head = fixed_head(8, 4, [0, 0, 0, 0], [1, 2, 3, 4])
-        out = spankl.span_logits(hidden, {"PER": head})["PER"]
-        np.testing.assert_array_equal(out.data, np.zeros((3, 3)))
+        out = spankl.span_logits(hidden, *head)
+        np.testing.assert_array_equal(out.data, np.zeros((1, 1, 3, 3)))
 
     def test_hand_evaluated_one_dimensional(self):
         # start vector [2], end vector [3], d_span 1 -> 2*3*1^(-0.5) = 6
-        hidden = nc.tensor(np.ones((2, 8)))
+        hidden = nc.tensor(np.ones((1, 2, 8)))
         head = fixed_head(8, 1, [2.0], [3.0])
-        out = spankl.span_logits(hidden, {"PER": head})["PER"]
+        out = spankl.span_logits(hidden, *head)
         np.testing.assert_allclose(out.data, 6.0)
 
     def test_hand_evaluated_scale_factor(self):
         # both boundary vectors all-ones, d_span 4 -> 4 * 4^(-0.5) = 2
-        hidden = nc.tensor(np.ones((3, 8)))
+        hidden = nc.tensor(np.ones((1, 3, 8)))
         head = fixed_head(8, 4, [1, 1, 1, 1], [1, 1, 1, 1])
-        out = spankl.span_logits(hidden, {"PER": head})["PER"]
+        out = spankl.span_logits(hidden, *head)
         np.testing.assert_allclose(out.data, 2.0)
 
     def test_hidden_width_mismatch_rejected(self):
-        hidden = nc.tensor(np.ones((3, 6)))
-        head = spankl.TypeHead(8, 4, np.random.default_rng(0))
+        hidden = nc.tensor(np.ones((1, 3, 6)))
         with pytest.raises(nc.ShapeError):
-            spankl.span_logits(hidden, {"PER": head})
+            spankl.span_logits(hidden, *fixed_head(8, 4, [0] * 4, [0] * 4))
 
 
 class TestBceLoss:
@@ -203,11 +203,16 @@ class TestHeadGrowth:
     def test_parameter_count_grows_by_two_per_type(self):
         model = make_model()
         model.grow(["A", "B", "C"], np.random.default_rng(0))
-        # 2 projections per type, each a (weight, bias) pair
-        assert len(model.head_parameters()) == 3 * 4
-        start_ws = {id(h.start_w) for h in model.heads.values()}
-        end_ws = {id(h.end_w) for h in model.heads.values()}
-        assert len(start_ws | end_ws) == 6
+        # 2 projections per type, each a (weight, bias) pair, stacked on
+        # the type axis and named per type in checkpoints
+        assert [p.shape for p in model.head_parameters()] == [
+            (3, 16, 4), (3, 1, 4), (3, 16, 4), (3, 1, 4)
+        ]
+        heads = {k: v for k, v in model.state_arrays().items() if k.startswith("heads.")}
+        assert len(heads) == 3 * 4
+        assert not np.shares_memory(model.start_w.data, model.end_w.data)
+        weights = [heads[f"heads.{t}.{part}"] for t in "ABC" for part in ("start_w", "end_w")]
+        assert len({w.tobytes() for w in weights}) == 6
 
     def test_duplicate_registration_rejected(self):
         model = make_model()
@@ -290,10 +295,47 @@ class TestDecodeFlat:
                 for y in range(x + 1, len(got)):
                     assert got[x][1] < got[y][0] or got[y][1] < got[x][0]
 
+    def test_exact_score_ties_across_types(self):
+        # equal scores fall back to (start, end, type order)
+        probs = {"A": np.zeros((4, 4)), "B": np.zeros((4, 4))}
+        probs["B"][0, 1] = probs["A"][0, 1] = 0.8
+        probs["B"][2, 3] = probs["A"][2, 2] = 0.8
+        assert spankl.decode_flat(probs, 0.5) == [(1, 2, "A", 0.8), (3, 3, "A", 0.8)]
+        # quantized random scores: ties across types on most instances
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            types = ["A", "B", "C"]
+            probs = {t: rng.integers(1, 5, (n, n)) / 4.0 for t in types}
+            candidates = [
+                (i + 1, j + 1, order, t, float(probs[t][i, j]))
+                for order, t in enumerate(types)
+                for i in range(n)
+                for j in range(i, n)
+            ]
+            assert spankl.decode_flat(probs, 0.5) == greedy_decode_oracle(candidates, 0.5)
+
     def test_never_reads_lower_triangle(self):
         probs = {"PER": np.zeros((3, 3))}
         probs["PER"][2, 0] = 0.99  # i > j: not a span
         assert spankl.decode_flat(probs, 0.5) == []
+
+
+class TestPredictNested:
+    def test_matches_cell_loop_reference(self):
+        model = make_model(seed=10)
+        model.grow(["PER", "ORG", "LOC"], np.random.default_rng(4))
+        for ids in ([1, 2, 3, 4, 5], [7], [3, 3, 9, 2, 11, 4, 6, 8]):
+            probs = {t: nc.sigmoid(m).numpy() for t, m in model.logits(ids).items()}
+            thr = float(np.median(np.concatenate([p[np.triu_indices(len(ids))] for p in probs.values()])))
+            want = [
+                (i + 1, j + 1, t, float(p[i, j]))
+                for t, p in probs.items()
+                for i in range(len(ids))
+                for j in range(i, len(ids))
+                if p[i, j] > thr
+            ]
+            assert model.predict_nested(ids, threshold=thr) == want
 
 
 class TestEndToEndGradients:
@@ -327,7 +369,7 @@ class TestCheckpointRoundTrip:
         ids = [3, 1, 4, 1, 5]
         before = {t: m.numpy() for t, m in model.logits(ids).items()}
         path = tmp_path / "model.ckpt"
-        nc.save_checkpoint(path, {k: v.data for k, v in model.named_parameters().items()})
+        nc.save_checkpoint(path, model.state_arrays())
         clone = make_model(seed=99)
         clone.grow(["PER", "ORG"], np.random.default_rng(77))
         clone.load_arrays(nc.load_checkpoint(path))

@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from clner import numcore as nc
+from clner.cldata import Span, decode_layer, encode_layer
 from clner.encoder import (
     EncoderModel,
     TransformerEncoder,
@@ -52,14 +53,7 @@ def flatten_spans(spans: Iterable, types: Iterable[str]) -> list:
 def iob_encode(spans: Iterable, types: Sequence[str], n_tokens: int) -> list[str]:
     """Per-token IOB tags for the given types; nested golds are flattened
     first (longest-span rule)."""
-    tags = ["O"] * n_tokens
-    for i, j, t in flatten_spans(spans, types):
-        if not (1 <= i <= j <= n_tokens):
-            raise ValueError(f"span ({i}, {j}) outside a {n_tokens}-token sentence")
-        tags[i - 1] = f"B-{t}"
-        for pos in range(i, j):
-            tags[pos] = f"I-{t}"
-    return tags
+    return encode_layer(flatten_spans(spans, types), n_tokens)
 
 
 def repair_tags(tags: Sequence[str]) -> list[str]:
@@ -73,25 +67,10 @@ def repair_tags(tags: Sequence[str]) -> list[str]:
     return out
 
 
-def tag_decode(tags: Sequence[str]) -> list[tuple[int, int, str]]:
-    """Contiguous B-X (I-X)* groups as (start, end, type) spans, 1-based."""
-    repaired = repair_tags(tags)
-    spans = []
-    open_type, open_start = None, 0
-    for pos, tag in enumerate(repaired, start=1):
-        if tag.startswith("B-"):
-            if open_type is not None:
-                spans.append((open_start, pos - 1, open_type))
-            open_type, open_start = tag[2:], pos
-        elif tag.startswith("I-"):
-            pass  # repair guarantees continuity
-        else:
-            if open_type is not None:
-                spans.append((open_start, pos - 1, open_type))
-                open_type = None
-    if open_type is not None:
-        spans.append((open_start, len(repaired), open_type))
-    return spans
+def tag_decode(tags: Sequence[str]) -> list[Span]:
+    """Contiguous B-X (I-X)* groups as (start, end, type) spans, 1-based;
+    an orphan I-X opens a group as B-X would."""
+    return decode_layer(tags)[0]
 
 
 def combine_heads(
@@ -291,9 +270,6 @@ class ExtendNerTagger(EncoderModel):
     @property
     def tag_list(self) -> list[str]:
         return head_tag_list(self.types)
-
-    def registered_types(self) -> tuple[str, ...]:
-        return self.types
 
     def grow(self, new_types: Sequence[str], rng: np.random.Generator) -> None:
         """Widen the head; existing output columns stay bit-identical."""

@@ -93,47 +93,49 @@ class Corpus:
 # ---------------------------------------------------------------------------
 
 
-def _decode_layer(tags: list[str], repairs: list[int]) -> list[Span]:
-    """One IOB/bare-tag layer to spans; orphan I- tags are repaired to B-."""
+def encode_layer(spans: Iterable[tuple[int, int, str]], n_tokens: int) -> list[str]:
+    """IOB tags of one layer of non-overlapping (start, end, type) spans."""
+    tags = ["O"] * n_tokens
+    for i, j, t in spans:
+        if not (1 <= i <= j <= n_tokens):
+            raise ValueError(f"span ({i}, {j}) outside a {n_tokens}-token sentence")
+        tags[i - 1 : j] = [f"B-{t}"] + [f"I-{t}"] * (j - i)
+    return tags
+
+
+def decode_layer(tags: Sequence[str]) -> tuple[list[Span], int]:
+    """One IOB/bare-tag layer to spans, plus the count of orphan I- tags:
+    an I-X that does not continue an X mention opens one, as B-X would.
+    Contiguous equal bare tags form one mention."""
     spans: list[Span] = []
+    repairs = 0
     open_type, open_start = None, 0
-
-    def close(end: int):
-        nonlocal open_type
+    for pos, tag in enumerate([*tags, "O"], start=1):
+        prefix = tag[:2] if tag.startswith(("B-", "I-")) else ""
+        t = tag[len(prefix) :] if tag != "O" else None
+        if t == open_type and prefix != "B-":
+            continue  # I-X or bare X goes on with the open X mention
         if open_type is not None:
-            spans.append(Span(open_start, end, open_type))
-            open_type = None
-
-    for pos, tag in enumerate(tags, start=1):
-        if tag == "O":
-            close(pos - 1)
-        elif tag.startswith("B-"):
-            close(pos - 1)
-            open_type, open_start = tag[2:], pos
-        elif tag.startswith("I-"):
-            t = tag[2:]
-            if open_type != t:
-                close(pos - 1)
-                repairs[0] += 1
-                open_type, open_start = t, pos
-        else:
-            # bare hierarchical tag: contiguous equal tags form one mention
-            if open_type != tag:
-                close(pos - 1)
-                open_type, open_start = tag, pos
-    close(len(tags))
-    return spans
+            spans.append(Span(open_start, pos - 1, open_type))
+        repairs += prefix == "I-"
+        open_type, open_start = t, pos
+    return spans, repairs
 
 
-def parse_sentence_block(rows: list[list[str]], repairs: list[int]) -> Sentence:
+def parse_sentence_block(rows: list[list[str]]) -> tuple[Sentence, int]:
+    """One sentence from its ``token<TAB>tags`` rows, plus the count of
+    orphan I- tags repaired over all its layers."""
     tokens = [r[0] for r in rows]
     layer_lists = [r[1].split("|") for r in rows]
     n_layers = max(len(ls) for ls in layer_lists)
     spans: list[Span] = []
+    repairs = 0
     for layer in range(n_layers):
         tags = [ls[layer] if layer < len(ls) else "O" for ls in layer_lists]
-        spans.extend(_decode_layer(tags, repairs))
-    return Sentence(tokens, tuple(spans))
+        decoded, repaired = decode_layer(tags)
+        spans += decoded
+        repairs += repaired
+    return Sentence(tokens, tuple(spans)), repairs
 
 
 def parse_corpus(path) -> Corpus:
@@ -144,26 +146,23 @@ def parse_corpus(path) -> Corpus:
         text = path.read_text(encoding="utf-8")
     except OSError as e:
         raise CorpusError(f"cannot read corpus file {path}: {e}") from e
-    sentences: list[Sentence] = []
-    repairs = [0]
-    rows: list[list[str]] = []
+    blocks: list[list[list[str]]] = [[]]
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
-            if rows:
-                sentences.append(parse_sentence_block(rows, repairs))
-                rows = []
+            if blocks[-1]:
+                blocks.append([])
             continue
         fields = line.split("\t")
         if len(fields) != 2 or not fields[0]:
             raise CorpusError(
                 f"{path}:{lineno}: expected 'token<TAB>tag', got {line!r}"
             )
-        rows.append(fields)
-    if rows:
-        sentences.append(parse_sentence_block(rows, repairs))
-    if repairs[0]:
-        log.warning("%s: repaired %d orphan I- tags", path, repairs[0])
-    return Corpus(sentences, repair_count=repairs[0])
+        blocks[-1].append(fields)
+    parsed = [parse_sentence_block(rows) for rows in blocks if rows]
+    repairs = sum(r for _, r in parsed)
+    if repairs:
+        log.warning("%s: repaired %d orphan I- tags", path, repairs)
+    return Corpus([sent for sent, _ in parsed], repair_count=repairs)
 
 
 def _assign_layers(spans: Sequence[Span]) -> list[list[Span]]:
@@ -180,15 +179,8 @@ def _assign_layers(spans: Sequence[Span]) -> list[list[Span]]:
 
 
 def sentence_to_rows(sentence: Sentence) -> list[str]:
-    layers = _assign_layers(sentence.spans) or [[]]
-    columns = []
-    for layer in layers:
-        tags = ["O"] * len(sentence.tokens)
-        for span in layer:
-            tags[span.start - 1] = f"B-{span.type}"
-            for pos in range(span.start, span.end):
-                tags[pos] = f"I-{span.type}"
-        columns.append(tags)
+    n = len(sentence.tokens)
+    columns = [encode_layer(layer, n) for layer in _assign_layers(sentence.spans) or [[]]]
     return [
         f"{tok}\t" + "|".join(col[i] for col in columns)
         for i, tok in enumerate(sentence.tokens)
@@ -449,7 +441,9 @@ FEWNERD_ORDERS = (
 )
 
 
-def _chunk(order: Sequence[str], n_tasks: int) -> list[tuple[str, ...]]:
+def _chunk(order: Sequence, n_tasks: int) -> list[tuple]:
+    """``order`` cut into ``n_tasks`` consecutive chunks whose sizes differ
+    by at most one, the larger ones first."""
     n = len(order)
     base, extra = divmod(n, n_tasks)
     chunks, pos = [], 0
@@ -543,32 +537,23 @@ class SynthesizedBenchmark:
     def __len__(self) -> int:
         return len(self.tasks)
 
+    def _union(self, step: int, split: str) -> list[Sentence]:
+        allowed = self.sequence.cumulative_types(step)
+        sentences = [s for task in self.tasks[:step] for s in getattr(task, split)]
+        return [erase_annotations(s, allowed) for s in sentences]
+
     def noncl_train(self, step: int) -> list[Sentence]:
         """Union of tasks 1..step with annotations restored for every type
         learned so far (re-erased from the stored full annotations)."""
-        allowed = self.sequence.cumulative_types(step)
-        out = []
-        for task in self.tasks[:step]:
-            out.extend(erase_annotations(s, allowed) for s in task.train_full)
-        return out
+        return self._union(step, "train_full")
 
     def noncl_dev(self, step: int) -> list[Sentence]:
-        allowed = self.sequence.cumulative_types(step)
-        out = []
-        for task in self.tasks[:step]:
-            out.extend(erase_annotations(s, allowed) for s in task.dev_full)
-        return out
+        return self._union(step, "dev_full")
 
 
 def _split_groups(n: int, n_tasks: int, rng: np.random.Generator) -> list[list[int]]:
-    order = list(rng.permutation(n))
-    base, extra = divmod(n, n_tasks)
-    groups, pos = [], 0
-    for i in range(n_tasks):
-        size = base + (1 if i < extra else 0)
-        groups.append(sorted(order[pos : pos + size]))
-        pos += size
-    return groups
+    """A seeded partition of range(n) into near-equal sorted groups."""
+    return [sorted(chunk) for chunk in _chunk(list(rng.permutation(n)), n_tasks)]
 
 
 def build_vocab_tokens(train: Corpus, dev: Corpus) -> list[str]:

@@ -148,7 +148,9 @@ def cmd_synthesize(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _effective_config(args) -> RunConfig:
+def _effective_config(args) -> tuple[RunConfig, list[int]]:
+    """The run config and seeds from the config file, flags and --set
+    pairs; every seed's config is validated before anything is written."""
     mapping: dict = {}
     if args.config:
         mapping.update(parse_config_file(args.config))
@@ -165,16 +167,17 @@ def _effective_config(args) -> RunConfig:
         config = RunConfig.from_mapping(mapping)
     except (ValueError, TypeError) as e:
         raise UsageError(str(e)) from None
-    problems = config.validate()
+    seeds = _int_list(args.seeds) if args.seeds else [config.seed]
+    runs = [config] + [dataclasses.replace(config, seed=seed) for seed in seeds]
+    problems = list(dict.fromkeys(p for run in runs for p in run.validate()))
     if problems:
         raise UsageError("invalid config:\n  " + "\n  ".join(problems))
-    return config
+    return config, seeds
 
 
 def cmd_train(args) -> int:
     bench = cldata.load_benchmark(args.benchmark)
-    config = _effective_config(args)
-    seeds = _int_list(args.seeds) if args.seeds else [config.seed]
+    config, seeds = _effective_config(args)
     runner = {"cl": run_cl, "noncl": run_noncl}[args.mode]
     out_root = Path(args.out)
     summary_rows = []

@@ -48,6 +48,14 @@ class RunError(Exception):
         self.step = step
 
 
+# (field, smallest valid value) for the numeric config fields
+_LOWER_BOUNDS = (
+    ("epochs", 1), ("batch_size", 1), ("d_model", 1), ("n_heads", 1), ("max_len", 1),
+    ("d_span", 1), ("lr_encoder", 0), ("lr_heads", 0), ("weight_decay", 0),
+    ("pad_constant", 0), ("warmup_steps", 0), ("seed", 0),
+)
+
+
 @dataclass
 class RunConfig:
     model: str = "spankl"
@@ -75,10 +83,12 @@ class RunConfig:
         problems = []
         if self.model not in MODEL_KINDS:
             problems.append(f"model: {self.model!r} not one of {MODEL_KINDS}")
-        if self.epochs < 1:
-            problems.append(f"epochs: must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            problems.append(f"batch_size: must be >= 1, got {self.batch_size}")
+        for name, low in _LOWER_BOUNDS:
+            value = getattr(self, name)
+            if value < low:
+                problems.append(f"{name}: must be >= {low}, got {value}")
+        if self.n_heads >= 1 and self.d_model % self.n_heads:
+            problems.append(f"n_heads: {self.n_heads} does not divide d_model {self.d_model}")
         if self.alpha < 0 or self.beta < 0:
             problems.append(f"alpha/beta: must be >= 0, got {self.alpha}/{self.beta}")
         if not 0.0 <= self.dropout < 1.0:
@@ -566,59 +576,3 @@ def _curve_types(result: RunResult) -> list[str]:
             if t not in out:
                 out.append(t)
     return sorted(out)
-
-
-# ---------------------------------------------------------------------------
-# sweeps
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SweepResult:
-    runs: list[RunResult]
-
-    def per_seed_step_mean(self) -> dict[int, dict[int, float]]:
-        """Mean macro-F1 across permutations, reported per seed."""
-        acc: dict[int, dict[int, list[float]]] = {}
-        for run in self.runs:
-            for record in run.steps:
-                acc.setdefault(run.config.seed, {}).setdefault(record.step, []).append(
-                    record.eval.macro
-                )
-        return {
-            seed: {step: float(np.mean(vals)) for step, vals in steps.items()}
-            for seed, steps in acc.items()
-        }
-
-    def step_mean(self) -> dict[int, float]:
-        """Mean macro-F1 across every run (permutations and seeds)."""
-        acc: dict[int, list[float]] = {}
-        for run in self.runs:
-            for record in run.steps:
-                acc.setdefault(record.step, []).append(record.eval.macro)
-        return {step: float(np.mean(vals)) for step, vals in acc.items()}
-
-
-def sweep(
-    config: RunConfig,
-    benchmarks: Sequence[SynthesizedBenchmark],
-    seeds: Sequence[int],
-    mode: str = "cl",
-    out_root=None,
-) -> SweepResult:
-    """Run every (benchmark permutation, seed) pair; raw per-run records
-    are retained in the result and, when out_root is given, on disk."""
-    if not benchmarks:
-        raise ValueError("sweep needs at least one benchmark")
-    runner = {"cl": run_cl, "noncl": run_noncl}[mode]
-    runs = []
-    for bench in benchmarks:
-        for seed in seeds:
-            run_config = dataclasses.replace(config, seed=seed)
-            out_dir = (
-                Path(out_root) / f"run_p{bench.sequence.permutation}_s{seed}"
-                if out_root is not None
-                else None
-            )
-            runs.append(runner(run_config, bench, out_dir))
-    return SweepResult(runs)

@@ -9,7 +9,6 @@ multiple threads; training updates are single-writer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -21,50 +20,25 @@ UNK_TOKEN = "<unk>"
 
 
 class Vocab:
-    """Token<->id maps with reserved padding/unknown entries at ids 0/1.
-
-    Serialized as a line-per-token text file, ids implied by line order
-    (the two reserved tokens occupy the first two lines).
-    """
+    """Token->id map with reserved padding/unknown entries at ids 0/1;
+    the given tokens take ids 2, 3, ... in first-occurrence order."""
 
     def __init__(self, tokens: Iterable[str]):
-        self._id_to_token = [PAD_TOKEN, UNK_TOKEN]
-        seen = set(self._id_to_token)
+        self._token_to_id = {PAD_TOKEN: 0, UNK_TOKEN: 1}
         for tok in tokens:
-            if tok not in seen:
-                seen.add(tok)
-                self._id_to_token.append(tok)
-        self._token_to_id = {t: i for i, t in enumerate(self._id_to_token)}
+            self._token_to_id.setdefault(tok, len(self._token_to_id))
 
     pad_id = 0
     unk_id = 1
 
     def __len__(self) -> int:
-        return len(self._id_to_token)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._token_to_id
+        return len(self._token_to_id)
 
     def id_of(self, token: str) -> int:
         return self._token_to_id.get(token, self.unk_id)
 
-    def token_of(self, idx: int) -> str:
-        return self._id_to_token[idx]
-
     def encode(self, tokens: Sequence[str]) -> list[int]:
         return [self.id_of(t) for t in tokens]
-
-    def save(self, path) -> None:
-        Path(path).write_text(
-            "".join(t + "\n" for t in self._id_to_token), encoding="utf-8"
-        )
-
-    @classmethod
-    def load(cls, path) -> "Vocab":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        if lines[:2] != [PAD_TOKEN, UNK_TOKEN]:
-            raise ValueError(f"{path}: vocabulary file lacks the reserved header")
-        return cls(lines[2:])
 
 
 @dataclass

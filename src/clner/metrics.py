@@ -7,7 +7,7 @@ precision, recall, and F1 are 0 when undefined.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 
@@ -118,26 +118,6 @@ class StepEval:
     counts: dict[str, Counts]
     scores: dict[str, TypeScore]
     macro: float
-
-
-@dataclass
-class EvalReport:
-    """Per-step evaluation trace of one run, with optional non-CL
-    reference scores; the gap is defined only where both sides exist."""
-
-    steps: list[StepEval] = field(default_factory=list)
-    noncl_macro: dict[int, float] = field(default_factory=dict)
-
-    def macro(self, step: int) -> float:
-        for s in self.steps:
-            if s.step == step:
-                return s.macro
-        raise KeyError(f"no evaluation recorded for step {step}")
-
-    def delta(self, step: int) -> float | None:
-        if step not in self.noncl_macro:
-            return None
-        return gap(self.macro(step), self.noncl_macro[step])
 
 
 def evaluate_step(

@@ -16,14 +16,10 @@ from clner.numcore.tensor import (
     bernoulli_kl_with_logits,
     concat,
     cross_entropy_rows,
-    dropout,
-    exp,
     gather_rows,
     kl_div_rows,
     layer_norm,
-    log,
     matmul,
-    mean,
     mul,
     parameter,
     permute,
@@ -31,11 +27,8 @@ from clner.numcore.tensor import (
     sigmoid,
     softmax,
     sub,
-    tanh,
     tensor,
     tensor_slice,
-    tensor_sum,
-    transpose,
     zero_grad,
 )
 from clner.numcore.optim import AdamW
@@ -52,15 +45,11 @@ __all__ = [
     "bernoulli_kl_with_logits",
     "concat",
     "cross_entropy_rows",
-    "dropout",
-    "exp",
     "gather_rows",
     "kl_div_rows",
     "layer_norm",
     "load_checkpoint",
-    "log",
     "matmul",
-    "mean",
     "mul",
     "parameter",
     "permute",
@@ -69,10 +58,7 @@ __all__ = [
     "sigmoid",
     "softmax",
     "sub",
-    "tanh",
     "tensor",
     "tensor_slice",
-    "tensor_sum",
-    "transpose",
     "zero_grad",
 ]

@@ -1,8 +1,6 @@
 """Adam optimizer with decoupled weight decay (AdamW-style update)."""
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from clner.numcore.tensor import Tensor
@@ -13,19 +11,15 @@ class AdamW:
 
     ``groups`` is a list of dicts, each with keys ``params`` (list of
     Tensors) and ``lr``; ``weight_decay`` may be overridden per group.
-    A plain list of tensors is accepted as a single group using ``lr``.
     """
 
     def __init__(
         self,
         groups,
-        lr: float = 1e-3,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
-        if groups and isinstance(groups[0], Tensor):
-            groups = [{"params": list(groups), "lr": lr}]
         self.groups = []
         for g in groups:
             self.groups.append(

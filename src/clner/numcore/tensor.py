@@ -1,9 +1,8 @@
 """Tensor type, primitive ops, and reverse-mode backward pass.
 
 Every op validates shapes up front and records a graph node only when at
-least one input tracks gradients. Stochastic ops take an explicit
-``numpy.random.Generator``; there is no global randomness anywhere in the
-engine.
+least one input tracks gradients. The engine draws no random numbers;
+callers that need noise (dropout) build a constant mask themselves.
 """
 from __future__ import annotations
 
@@ -257,39 +256,6 @@ def sigmoid(x) -> Tensor:
     return out
 
 
-def log(x) -> Tensor:
-    x = _lift(x)
-    data = np.log(x.data)
-
-    def backprop(grad):
-        _accumulate(x, grad / x.data)
-
-    out = _make(data, (x,), backprop)
-    return out
-
-
-def exp(x) -> Tensor:
-    x = _lift(x)
-    data = np.exp(x.data)
-
-    def backprop(grad):
-        _accumulate(x, grad * data)
-
-    out = _make(data, (x,), backprop)
-    return out
-
-
-def tanh(x) -> Tensor:
-    x = _lift(x)
-    data = np.tanh(x.data)
-
-    def backprop(grad):
-        _accumulate(x, grad * (1.0 - data * data))
-
-    out = _make(data, (x,), backprop)
-    return out
-
-
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     x = _lift(x)
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
@@ -300,18 +266,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         _accumulate(x, (g - (g * s).sum(axis=axis, keepdims=True)) * s)
 
     out = _make(s, (x,), backprop)
-    return out
-
-
-def transpose(x: Tensor) -> Tensor:
-    x = _lift(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose: expected a matrix, got shape {x.shape}")
-
-    def backprop(grad):
-        _accumulate(x, grad.T)
-
-    out = _make(x.data.T, (x,), backprop)
     return out
 
 
@@ -378,52 +332,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             _accumulate(t, grad[tuple(idx)])
 
     out = _make(data, tuple(ts), backprop)
-    return out
-
-
-def tensor_sum(x: Tensor, axis: int | None = None) -> Tensor:
-    x = _lift(x)
-    data = x.data.sum(axis=axis)
-
-    def backprop(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        _accumulate(x, np.broadcast_to(g, x.shape).copy())
-
-    out = _make(data, (x,), backprop)
-    return out
-
-
-def mean(x: Tensor, axis: int | None = None) -> Tensor:
-    x = _lift(x)
-    count = x.size if axis is None else x.shape[axis]
-    data = x.data.mean(axis=axis)
-
-    def backprop(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        _accumulate(x, np.broadcast_to(g, x.shape) / count)
-
-    out = _make(data, (x,), backprop)
-    return out
-
-
-def dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: scales kept units by 1/(1-rate) at train time so
-    inference needs no rescaling. Identity when rate is 0 or train is off."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    x = _lift(x)
-    if not train or rate == 0.0:
-        return x
-    if rng is None:
-        raise ValueError("dropout in train mode needs an explicit rng")
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-
-    def backprop(grad):
-        _accumulate(x, grad * mask)
-
-    out = _make(x.data * mask, (x,), backprop)
     return out
 
 

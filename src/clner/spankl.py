@@ -58,18 +58,79 @@ def span_logits(
     return nc.matmul(start, nc.permute(end, (0, 1, 3, 2))) * (start_w.shape[2] ** -0.5)
 
 
-def gold_target_matrix(gold_spans: Iterable[tuple[int, int]], n: int) -> np.ndarray:
-    target = np.zeros((n, n))
-    for i, j in gold_spans:
-        if not (1 <= i <= j <= n):
-            raise ValueError(f"gold span ({i}, {j}) outside a {n}-token sentence")
-        target[i - 1, j - 1] = 1.0
-    return target
+def _cells(lengths: np.ndarray, n: int, types: Sequence[str], chosen) -> np.ndarray:
+    """(B, T, n, n) indicator of the cells a loss reads: upper triangle
+    within each sentence's length, on the chosen types of the type axis."""
+    owned = triu_mask(n) * length_mask(lengths, n)[:, None, :]
+    chosen = set(chosen)
+    on_type = np.array([t in chosen for t in types], dtype=np.float64)
+    return owned[:, None] * on_type[None, :, None, None]
 
 
-def _stack(matrices: Sequence[nc.Tensor]) -> nc.Tensor:
-    n = matrices[0].shape[0]
-    return nc.concat([nc.reshape(m, (1, n, n)) for m in matrices], axis=0)
+def masked_bce(
+    logits: nc.Tensor,
+    lengths: np.ndarray,
+    golds: Sequence[Mapping[str, Iterable[tuple[int, int]]]],
+    types: Sequence[str],
+    current_types: Sequence[str],
+) -> nc.Tensor:
+    """Binary cross entropy summed over the read cells of the current
+    types. ``logits`` is (B, T, n, n) with ``types`` along T; each
+    sentence's gold maps a current type to its (start, end) spans, which
+    take label 1, every other cell 0."""
+    column = {t: k for k, t in enumerate(types)}
+    target = np.zeros(logits.shape)
+    for b, (gold, size) in enumerate(zip(golds, lengths)):
+        extra = set(gold) - set(current_types)
+        if extra:
+            raise ValueError(f"gold spans for non-current types: {sorted(extra)}")
+        for t, pairs in gold.items():
+            for i, j in pairs:
+                if not (1 <= i <= j <= size):
+                    raise ValueError(f"gold span ({i}, {j}) outside a {size}-token sentence")
+                target[b, column[t], i - 1, j - 1] = 1.0
+    cells = _cells(lengths, logits.shape[-1], types, current_types)
+    return nc.bce_with_logits(logits, target, cells)
+
+
+def masked_kd(
+    logits: nc.Tensor,
+    lengths: np.ndarray,
+    distilled: Sequence[Mapping[str, np.ndarray]],
+    types: Sequence[str],
+    old_types: Sequence[str],
+) -> nc.Tensor:
+    """Bernoulli KL between each sentence's cached teacher probabilities
+    (clamped into [1e-7, 1 - 1e-7]) and the student's sigmoid outputs,
+    summed over the read cells of the old types; ``logits`` as in
+    ``masked_bce``."""
+    column = {t: k for k, t in enumerate(types)}
+    ref = np.full(logits.shape, _PAD_PROB)
+    for b, (labels, size) in enumerate(zip(distilled, lengths)):
+        missing, extra = set(old_types) - set(labels), set(labels) - set(old_types)
+        if missing:
+            raise ValueError(f"distilled labels missing for old types: {sorted(missing)}")
+        if extra:
+            raise ValueError(f"distilled labels cover unexpected types: {sorted(extra)}")
+        for t in old_types:
+            if np.shape(labels[t]) != (size, size):
+                raise nc.ShapeError(
+                    f"distilled matrix for {t!r} has shape {np.shape(labels[t])}, "
+                    f"expected {(size, size)}"
+                )
+            ref[b, column[t], :size, :size] = np.clip(
+                labels[t], TEACHER_PROB_CLAMP, 1.0 - TEACHER_PROB_CLAMP
+            )
+    cells = _cells(lengths, logits.shape[-1], types, old_types)
+    return nc.bernoulli_kl_with_logits(logits, ref, cells)
+
+
+def _one_sentence(matrices: Mapping[str, nc.Tensor], types: Sequence[str]):
+    """Per-type (n, n) matrices of one sentence as (1, T, n, n) logits and
+    the (1,) length, for the batch-of-one adapters below."""
+    n = matrices[types[0]].shape[0]
+    logits = nc.concat([nc.reshape(matrices[t], (1, 1, n, n)) for t in types], axis=1)
+    return logits, np.array([n])
 
 
 def bce_loss(
@@ -77,32 +138,12 @@ def bce_loss(
     gold: Mapping[str, Iterable[tuple[int, int]]],
     current_types: Sequence[str],
 ) -> nc.Tensor:
-    """Binary cross entropy summed over upper-triangle cells of the
-    current types' matrices (gold label 1 on gold spans, else 0)."""
-    extra = set(gold) - set(current_types)
-    if extra:
-        raise ValueError(f"gold spans for non-current types: {sorted(extra)}")
+    """``masked_bce`` on one sentence's per-type matrices: summed over the
+    upper-triangle cells of the current types."""
     if not current_types:
         raise ValueError("bce_loss needs at least one current type")
-    scores = _stack([matrices[t] for t in current_types])
-    n = scores.shape[-1]
-    target = np.stack([gold_target_matrix(gold.get(t, ()), n) for t in current_types])
-    return nc.bce_with_logits(scores, target, np.broadcast_to(triu_mask(n), scores.shape))
-
-
-def _clamped(probs) -> np.ndarray:
-    return np.clip(
-        np.asarray(probs, dtype=np.float64), TEACHER_PROB_CLAMP, 1.0 - TEACHER_PROB_CLAMP
-    )
-
-
-def _check_distilled(distilled: Mapping[str, np.ndarray], old_types: Sequence[str]) -> None:
-    missing = set(old_types) - set(distilled)
-    if missing:
-        raise ValueError(f"distilled labels missing for old types: {sorted(missing)}")
-    extra = set(distilled) - set(old_types)
-    if extra:
-        raise ValueError(f"distilled labels cover unexpected types: {sorted(extra)}")
+    logits, lengths = _one_sentence(matrices, current_types)
+    return masked_bce(logits, lengths, [gold], current_types, current_types)
 
 
 def kd_loss(
@@ -110,18 +151,12 @@ def kd_loss(
     distilled: Mapping[str, np.ndarray],
     old_types: Sequence[str],
 ) -> nc.Tensor:
-    """Bernoulli KL between cached teacher probabilities and the student's
-    sigmoid outputs, summed over upper-triangle cells of old types.
-    Teacher probabilities are clamped into [1e-7, 1 - 1e-7] first."""
-    _check_distilled(distilled, old_types)
+    """``masked_kd`` on one sentence's per-type matrices: summed over the
+    upper-triangle cells of the old types."""
     if not old_types:
         raise ValueError("kd_loss needs at least one old type")
-    scores = _stack([matrices[t] for t in old_types])
-    n = scores.shape[-1]
-    ref = np.stack([_clamped(distilled[t]) for t in old_types])
-    if ref.shape != scores.shape:
-        raise nc.ShapeError(f"distilled matrices have shape {ref.shape}, expected {scores.shape}")
-    return nc.bernoulli_kl_with_logits(scores, ref, np.broadcast_to(triu_mask(n), scores.shape))
+    logits, lengths = _one_sentence(matrices, old_types)
+    return masked_kd(logits, lengths, [distilled], old_types, old_types)
 
 
 def total_loss(bce, kd, alpha: float, beta: float) -> nc.Tensor:
@@ -185,9 +220,6 @@ class SpanKLModel(EncoderModel):
         self.end_b = nc.parameter(np.zeros((0, 1, d_span)))
 
     # -- structure ---------------------------------------------------------
-    def registered_types(self) -> tuple[str, ...]:
-        return self.types
-
     def grow(self, new_types: Sequence[str], rng: np.random.Generator) -> None:
         """Append one fresh head per new type; existing heads untouched.
         Each type draws its start then its end projection."""
@@ -300,37 +332,16 @@ class SpanKLModel(EncoderModel):
         use_kd = distilled is not None and bool(old_types)
         needed = [t for t in self.types if t in current or use_kd]
         wanted, logits, lengths = self._scores(batch_ids, needed, train, rng)
-        batch, n = len(lengths), logits.shape[-1]
-        column = {t: k for k, t in enumerate(wanted)}
-        is_current = np.array([t in current for t in wanted], dtype=np.float64)[None, :, None, None]
-        cells = (triu_mask(n) * length_mask(lengths, n)[:, None, :])[:, None]
-        target = np.zeros(logits.shape)
-        for b, spans in enumerate(batch_gold):
+        golds = []
+        for spans in batch_gold:
             by_type: dict[str, list[tuple[int, int]]] = {}
             for span in spans:
                 by_type.setdefault(span[2], []).append((span[0], span[1]))
-            extra = set(by_type) - current
-            if extra:
-                raise ValueError(f"gold spans for non-current types: {sorted(extra)}")
-            size = lengths[b]
-            for t, pairs in by_type.items():
-                target[b, column[t], :size, :size] = gold_target_matrix(pairs, size)
-        loss = nc.mul(nc.bce_with_logits(logits, target, cells * is_current), alpha)
+            golds.append(by_type)
+        loss = nc.mul(masked_bce(logits, lengths, golds, wanted, current_types), alpha)
         if use_kd:
-            ref = np.full(logits.shape, _PAD_PROB)
-            for b, labels in enumerate(distilled):
-                _check_distilled(labels, old_types)
-                size = lengths[b]
-                for t in old_types:
-                    if np.shape(labels[t]) != (size, size):
-                        raise nc.ShapeError(
-                            f"distilled matrix for {t!r} has shape {np.shape(labels[t])}, "
-                            f"expected {(size, size)}"
-                        )
-                    ref[b, column[t], :size, :size] = _clamped(labels[t])
-            kd = nc.bernoulli_kl_with_logits(logits, ref, cells * (1.0 - is_current))
-            loss = loss + nc.mul(kd, beta)
-        return nc.mul(loss, 1.0 / batch)
+            loss = loss + nc.mul(masked_kd(logits, lengths, distilled, wanted, old_types), beta)
+        return nc.mul(loss, 1.0 / len(lengths))
 
     def teacher_predict(
         self, sentences_ids: Sequence[Sequence[int]], old_types: Sequence[str]

@@ -48,6 +48,15 @@ def max_rel_err(a, b):
     return float(np.abs(a - b).max(initial=0.0) / scale)
 
 
+def total(x):
+    """Sum of every entry of ``x`` as a scalar tensor, built from reshape
+    and a matmul against ones, for reducing test losses to a scalar."""
+    from clner import numcore as nc
+
+    flat = nc.reshape(x, (1, x.size))
+    return nc.reshape(nc.matmul(flat, np.ones((x.size, 1))), ())
+
+
 def assert_gradients_match(build_loss, params, tol=1e-4, h=1e-5):
     """Backward pass vs finite differences on every given parameter."""
     from clner.numcore import zero_grad

@@ -134,3 +134,33 @@ class TestBatchEqualsPerSentence:
                 live[: len(ids), : len(ids)] = np.triu(np.ones((len(ids), len(ids)), dtype=bool))
                 assert not np.any(cell_grad[b][:, ~live]), f"masked cells of sentence {b}"
                 assert np.all(np.any(cell_grad[b][:, live] != 0.0, axis=-1))
+
+
+@pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+@pytest.mark.parametrize("with_teacher", [True, False], ids=["teacher", "no-teacher"])
+def test_trained_loss_is_the_gated_loss(with_teacher, train):
+    """``batch_loss`` on one sentence, the loss training runs, equals
+    total_loss(bce_loss, kd_loss) on that sentence's logits, the loss the
+    gradient and identity criteria check, in value and every gradient."""
+    model, teacher = build("spankl", with_teacher)
+    params = list(model.named_parameters().values())
+    alpha, beta = 1.0, 0.7
+    for b, (ids, gold) in enumerate(zip(BATCH, GOLD)):
+        nc.zero_grad(params)
+        trained = model.batch_loss(
+            [ids], [gold], ["PER", "ORG"], None if teacher is None else [teacher[b]],
+            alpha, beta, train, np.random.default_rng(b),
+        )
+        trained.backward()
+        want = grads_of(model)
+        nc.zero_grad(params)
+        mats = model.logits(ids, train=train, rng=np.random.default_rng(b))
+        by_type = {"PER": [], "ORG": []}
+        for i, j, t in gold:
+            by_type[t].append((i, j))
+        kd = 0.0 if teacher is None else spankl.kd_loss(mats, teacher[b], ["LOC"])
+        gated = spankl.total_loss(spankl.bce_loss(mats, by_type, ["PER", "ORG"]), kd, alpha, beta)
+        gated.backward()
+        assert abs(trained.item() - gated.item()) <= 1e-12
+        for name, got in grads_of(model).items():
+            assert np.abs(got - want[name]).max() <= 1e-12, name

@@ -163,6 +163,33 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "epochs" in err and "alpha" in err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--set", "d_span=0"],
+            ["--set", "n_heads=0"],
+            ["--set", "d_model=0"],
+            ["--set", "n_heads=3"],
+            ["--set", "max_len=0"],
+            ["--model", "extendner", "--set", "pad_constant=-1"],
+            ["--set", "lr_encoder=-0.001"],
+            ["--set", "lr_heads=-0.001"],
+            ["--set", "weight_decay=-0.1"],
+            ["--set", "warmup_steps=-1"],
+            ["--set", "seed=-1"],
+            ["--seeds", "-1"],
+            ["--seeds", "2,-1"],
+        ],
+        ids=lambda extra: " ".join(extra),
+    )
+    def test_bad_config_rejected_before_any_output(self, tmp_path, capsys, extra):
+        bench = synth(tmp_path)
+        out = tmp_path / "run"
+        code = main(["train", "--benchmark", str(bench), "--out", str(out)] + TRAIN_FAST + extra)
+        assert code == EXIT_USAGE
+        assert "invalid config" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_benchmark_is_data_error(self, tmp_path):
         code = main(
             ["train", "--benchmark", str(tmp_path / "absent"), "--out", str(tmp_path / "x")]

@@ -23,7 +23,6 @@ from clner.clrunner import (
     load_step_model,
     run_cl,
     run_noncl,
-    sweep,
 )
 
 
@@ -202,41 +201,6 @@ class TestRunNonCl:
             cfg = dataclasses.replace(RunConfig(**TINY), model=model, epochs=2)
             result = run_noncl(cfg, bench)
             assert len(result.steps) == 2
-
-
-class TestSweep:
-    def test_single_run_aggregate_equals_run(self, bench):
-        cfg = RunConfig(**TINY)
-        result = sweep(cfg, [bench], seeds=[5])
-        run = result.runs[0]
-        assert result.step_mean() == {
-            r.step: r.eval.macro for r in run.steps
-        }
-        per_seed = result.per_seed_step_mean()
-        assert per_seed[5] == {r.step: r.eval.macro for r in run.steps}
-
-    def test_mean_across_permutations(self):
-        # synthetic check of the aggregation arithmetic: 80 and 82 -> 81
-        from clner.metrics import StepEval
-
-        def fake_run(perm, macro):
-            cfg = RunConfig(**TINY)
-            run = clrunner.RunResult(
-                mode="cl", config=cfg, setup="split-all", kind="toy", permutation=perm
-            )
-            run.steps.append(
-                clrunner.StepRecord(1, [macro], 1, StepEval(1, {}, {}, macro))
-            )
-            return run
-
-        result = clrunner.SweepResult([fake_run(1, 0.80), fake_run(2, 0.82)])
-        assert result.step_mean()[1] == pytest.approx(0.81)
-
-    def test_sweep_writes_run_dirs(self, bench, tmp_path):
-        cfg = dataclasses.replace(RunConfig(**TINY), epochs=1)
-        sweep(cfg, [bench], seeds=[1, 2], out_root=tmp_path)
-        assert (tmp_path / "run_p1_s1" / "metrics_cl.tsv").exists()
-        assert (tmp_path / "run_p1_s2" / "metrics_cl.tsv").exists()
 
 
 class TestSchedulesAndFreezing:

@@ -175,13 +175,6 @@ class TestOracleEquivalence:
 
 
 class TestEvalReport:
-    def test_delta_only_when_reference_present(self):
-        report = metrics.EvalReport()
-        report.steps.append(metrics.StepEval(1, {}, {}, macro=0.8))
-        assert report.delta(1) is None
-        report.noncl_macro[1] = 0.9
-        assert report.delta(1) == pytest.approx(-0.1)
-
     def test_evaluate_step_fine_macro(self):
         gold = [[(1, 1, "A")], [(2, 3, "B")]]
         pred = [[(1, 1, "A")], []]

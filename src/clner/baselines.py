@@ -227,31 +227,30 @@ class AddNerTagger(EncoderModel):
             raise ValueError("no head received a training signal for this batch")
         return nc.mul(loss, 1.0 / len(lengths))
 
+    def _head_probs(self, batch_ids: Sequence[Sequence[int]]) -> list[np.ndarray]:
+        """Each head's (B, n, width) softmax rows of an equal-length batch."""
+        hidden = self.encoder.encode(batch_ids)
+        return [
+            nc.softmax(self._head_logits(hidden, idx), axis=-1).data
+            for idx in range(len(self.task_types))
+        ]
+
     def teacher_predict(
         self, sentences_ids: Sequence[Sequence[int]], old_types: Sequence[str]
     ) -> list[list[np.ndarray]]:
         """Per sentence, each existing head's softmax rows (detached)."""
         if not old_types:
             return [[] for _ in sentences_ids]
-        out = []
-        for ids in sentences_ids:
-            hidden = self.encoder.encode(ids, train=False)
-            out.append(
-                [
-                    nc.softmax(self._head_logits(hidden, idx), axis=1).numpy()
-                    for idx in range(len(self.task_types))
-                ]
-            )
-        return out
+        return self._by_length(
+            sentences_ids, lambda batch: [list(rows) for rows in zip(*self._head_probs(batch))]
+        )
 
-    def predict(self, token_ids: Sequence[int]):
-        hidden = self.encoder.encode(token_ids, train=False)
-        head_outputs = []
-        for idx, types in enumerate(self.task_types):
-            probs = nc.softmax(self._head_logits(hidden, idx), axis=1).numpy()
-            head_outputs.append((head_tag_list(types), probs))
-        tags, scores = combine_heads(head_outputs)
-        return _spans_from_tags(tags, scores)
+    def _decode_equal(self, batch_ids: Sequence[Sequence[int]]) -> list:
+        tag_lists = [head_tag_list(types) for types in self.task_types]
+        return [
+            _spans_from_tags(*combine_heads(list(zip(tag_lists, rows))))
+            for rows in zip(*self._head_probs(batch_ids))
+        ]
 
 
 class ExtendNerTagger(EncoderModel):
@@ -327,23 +326,24 @@ class ExtendNerTagger(EncoderModel):
             loss = nc.mul(ce, alpha) + nc.mul(kl, beta)
         return nc.mul(loss, 1.0 / len(lengths))
 
+    def _probs(self, batch_ids: Sequence[Sequence[int]]) -> np.ndarray:
+        """(B, n, width) softmax rows of an equal-length batch."""
+        return nc.softmax(self._logits(self.encoder.encode(batch_ids)), axis=-1).data
+
     def teacher_predict(
         self, sentences_ids: Sequence[Sequence[int]], old_types: Sequence[str]
     ) -> list[np.ndarray]:
         """Softmax rows over the current (pre-extension) tag set."""
         if not old_types:
             return [np.zeros((len(ids), 0)) for ids in sentences_ids]
-        out = []
-        for ids in sentences_ids:
-            hidden = self.encoder.encode(ids, train=False)
-            out.append(nc.softmax(self._logits(hidden), axis=1).numpy())
-        return out
+        return self._by_length(sentences_ids, lambda batch: list(self._probs(batch)))
 
-    def predict(self, token_ids: Sequence[int]):
-        hidden = self.encoder.encode(token_ids, train=False)
-        probs = nc.softmax(self._logits(hidden), axis=1).numpy()
+    def _decode_equal(self, batch_ids: Sequence[Sequence[int]]) -> list:
         tag_list = self.tag_list
-        ids = probs.argmax(axis=1)
-        tags = [tag_list[i] for i in ids]
-        scores = [float(probs[pos, i]) for pos, i in enumerate(ids)]
-        return _spans_from_tags(tags, scores)
+        out = []
+        for probs in self._probs(batch_ids):
+            ids = probs.argmax(axis=1)
+            tags = [tag_list[i] for i in ids]
+            scores = [float(probs[pos, i]) for pos, i in enumerate(ids)]
+            out.append(_spans_from_tags(tags, scores))
+        return out

@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -83,6 +84,9 @@ class RunConfig:
         problems = []
         if self.model not in MODEL_KINDS:
             problems.append(f"model: {self.model!r} not one of {MODEL_KINDS}")
+        for name, value in self.to_dict().items():
+            if isinstance(value, float) and not math.isfinite(value):
+                problems.append(f"{name}: must be finite, got {value}")
         for name, low in _LOWER_BOUNDS:
             value = getattr(self, name)
             if value < low:
@@ -244,11 +248,11 @@ class _Trainer:
     def evaluate(
         self, model, sentences: Sequence[Sentence], eval_types: Sequence[str], step: int
     ) -> tuple[StepEval, list[list[tuple]]]:
-        """Decode with every learned head, one sentence per call, then
-        score only eval_types. Returns the scores and every decoded span
-        list."""
+        """Decode with every learned head, one graph-free pass per
+        sentence length, then score only eval_types. Returns the scores
+        and every decoded span list."""
         wanted = set(eval_types)
-        decoded = [model.predict(self.ids_of(sent)) for sent in sentences]
+        decoded = model.predict_many([self.ids_of(sent) for sent in sentences])
         preds = [[(i, j, t) for i, j, t, _ in spans if t in wanted] for spans in decoded]
         golds = [[(s.start, s.end, s.type) for s in sent.spans] for sent in sentences]
         return evaluate_step(step, golds, preds, list(eval_types), self.grouping), decoded
@@ -266,7 +270,8 @@ class _Trainer:
         """Multi-epoch training with dev-based selection; the model ends
         holding the weights of the best dev epoch (later epochs win ties).
         Each mini-batch is one padded graph and one loss call. A frozen
-        encoder is kept out of the graph, so it gathers no gradient."""
+        encoder is kept out of the graph, so it gathers no gradient. A
+        non-finite loss aborts the run before its backward pass."""
         cfg = self.config
         for p in model.encoder_parameters():
             p.requires_grad = not cfg.freeze_encoder
@@ -300,6 +305,10 @@ class _Trainer:
                     True,
                     dropout_rng,
                 )
+                if not np.isfinite(loss.data):
+                    raise RunError(
+                        step, f"non-finite loss {loss.data} at epoch {epoch}, batch {b + 1}"
+                    )
                 loss.backward()
                 opt_step += 1
                 if cfg.schedule == "warmup_cosine":
@@ -349,10 +358,9 @@ class _Trainer:
         for idx, (sent, spans) in enumerate(zip(test_sents, decoded)):
             rec = {"index": idx, "spans": [[i, j, t, s] for i, j, t, s in spans]}
             if self.config.dump_matrices and isinstance(model, SpanKLModel):
-                mats = model.logits(self.ids_of(sent))
-                rec["matrices"] = {
-                    t: nc.sigmoid(m).numpy().tolist() for t, m in mats.items()
-                }
+                with nc.no_grad():
+                    mats = model.logits(self.ids_of(sent))
+                    rec["matrices"] = {t: nc.sigmoid(m).data.tolist() for t, m in mats.items()}
             lines.append(json.dumps(rec, sort_keys=True))
         (d / "predictions.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
 

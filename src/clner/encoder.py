@@ -74,6 +74,16 @@ def pad_batch(batch_ids: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarra
     return ids, lengths
 
 
+def length_buckets(batch_ids: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Sentence indices grouped by exact length, lengths in first-seen
+    order. A group stacks without padding, so it encodes bit for bit as
+    its sentences do one at a time; a padded batch does not."""
+    groups: dict[int, list[int]] = {}
+    for idx, ids in enumerate(batch_ids):
+        groups.setdefault(len(ids), []).append(idx)
+    return list(groups.values())
+
+
 def length_mask(lengths: np.ndarray, n: int) -> np.ndarray:
     """(B, n) indicator of real (non-padding) positions."""
     return (np.arange(n)[None, :] < np.asarray(lengths)[:, None]).astype(np.float64)
@@ -175,10 +185,31 @@ class TransformerEncoder:
 class EncoderModel:
     """What the span model and the taggers share: an encoder plus the
     heads that ``head_named`` lists, checkpoints written from
-    ``state_arrays`` and restored by ``load_arrays``, and the one-sentence
-    loss as a batch of one through the subclass's ``batch_loss``."""
+    ``state_arrays`` and restored by ``load_arrays``, the one-sentence
+    loss as a batch of one through the subclass's ``batch_loss``, and
+    graph-free inference with one forward pass per sentence length,
+    decoded by the subclass's ``_decode_equal`` (an equal-length batch
+    -> each sentence's (start, end, type, score) spans)."""
 
     encoder: TransformerEncoder
+
+    def _by_length(self, sentences_ids: Sequence[Sequence[int]], run) -> list:
+        """``run`` on each equal-length group of the sentences without a
+        graph, its per-sentence results put back in input order."""
+        out: list = [None] * len(sentences_ids)
+        with nc.no_grad():
+            for group in length_buckets(sentences_ids):
+                for idx, result in zip(group, run([sentences_ids[i] for i in group])):
+                    out[idx] = result
+        return out
+
+    def predict_many(self, sentences_ids: Sequence[Sequence[int]]) -> list:
+        """Decoded spans per sentence; equal to ``predict`` on each."""
+        return self._by_length(sentences_ids, self._decode_equal)
+
+    def predict(self, token_ids: Sequence[int]) -> list:
+        """Decoded (start, end, type, score) spans of one sentence."""
+        return self.predict_many([token_ids])[0]
 
     def head_named(self) -> dict[str, nc.Tensor]:
         raise NotImplementedError

@@ -4,7 +4,8 @@ Float64 throughout. The compute graph is define-by-run: each op links its
 output tensor back to its inputs, and ``backward`` walks the links in
 reverse topological order. A graph and its tensors belong to one thread
 for the duration of a forward/backward pass; parameter tensors may move
-between threads between optimizer steps.
+between threads between optimizer steps. Inside ``no_grad`` a thread's
+ops build no graph at all.
 """
 
 from clner.numcore.tensor import (
@@ -21,6 +22,7 @@ from clner.numcore.tensor import (
     layer_norm,
     matmul,
     mul,
+    no_grad,
     parameter,
     permute,
     reshape,
@@ -51,6 +53,7 @@ __all__ = [
     "load_checkpoint",
     "matmul",
     "mul",
+    "no_grad",
     "parameter",
     "permute",
     "reshape",

@@ -1,11 +1,14 @@
 """Tensor type, primitive ops, and reverse-mode backward pass.
 
 Every op validates shapes up front and records a graph node only when at
-least one input tracks gradients. The engine draws no random numbers;
-callers that need noise (dropout) build a constant mask themselves.
+least one input tracks gradients and the calling thread is not inside
+``no_grad``. The engine draws no random numbers; callers that need noise
+(dropout) build a constant mask themselves.
 """
 from __future__ import annotations
 
+import contextlib
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,9 +112,29 @@ def _tracked(*tensors: Tensor) -> bool:
     return any(t.requires_grad for t in tensors)
 
 
+class _GradMode(threading.local):
+    recording = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Ops run on this thread inside the block record no graph: their
+    outputs neither require grad nor link to their inputs. Other threads
+    keep recording; the previous mode returns on exit."""
+    previous = _grad_mode.recording
+    _grad_mode.recording = False
+    try:
+        yield
+    finally:
+        _grad_mode.recording = previous
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backprop) -> Tensor:
     out = Tensor(data)
-    if _tracked(*parents):
+    if _grad_mode.recording and _tracked(*parents):
         out.requires_grad = True
         out._parents = parents
         out._backprop = backprop

@@ -303,11 +303,13 @@ class SpanKLModel(EncoderModel):
         wanted, logits, _ = self._scores([token_ids], types, train, rng)
         return {t: logits[0, k] for k, t in enumerate(wanted)}
 
-    def _probs(self, token_ids: Sequence[int], types: Iterable[str] | None = None):
-        """The wanted types and their (T, n, n) sigmoid probabilities for
-        one sentence, detached."""
-        wanted, logits, _ = self._scores([token_ids], types)
-        return wanted, nc.sigmoid(logits).data[0]
+    def _labels(
+        self, batch_ids: Sequence[Sequence[int]], types: Iterable[str] | None = None
+    ) -> list[dict[str, np.ndarray]]:
+        """Per sentence of an equal-length batch (no padding, so no key
+        mask): each wanted type's (n, n) sigmoid probabilities."""
+        wanted, logits, _ = self._scores(batch_ids, types)
+        return [dict(zip(wanted, p)) for p in nc.sigmoid(logits).data]
 
     def batch_loss(
         self,
@@ -347,26 +349,16 @@ class SpanKLModel(EncoderModel):
         self, sentences_ids: Sequence[Sequence[int]], old_types: Sequence[str]
     ) -> list[dict[str, np.ndarray]]:
         """One-off teacher pass: sigmoid probabilities of every old type
-        for every sentence, one sentence per call. Returns detached arrays
-        that stay fixed while the student trains. Empty old_types yields
-        empty label sets."""
+        for every sentence, one graph-free pass per sentence length. The
+        arrays stay fixed while the student trains. Empty old_types
+        yields empty label sets."""
         if not old_types:
             return [{} for _ in sentences_ids]
-        out = []
-        for ids in sentences_ids:
-            wanted, probs = self._probs(ids, old_types)
-            out.append(dict(zip(wanted, probs)))
-        return out
+        return self._by_length(sentences_ids, lambda batch: self._labels(batch, old_types))
 
-    def predict(
-        self,
-        token_ids: Sequence[int],
-        types: Iterable[str] | None = None,
-        threshold: float | None = None,
-    ) -> list[tuple[int, int, str, float]]:
-        """Decode mutually non-overlapping spans above the threshold."""
-        wanted, probs = self._probs(token_ids, types)
-        return decode_flat(dict(zip(wanted, probs)), self.threshold if threshold is None else threshold)
+    def _decode_equal(self, batch_ids: Sequence[Sequence[int]]) -> list:
+        """Mutually non-overlapping spans above the threshold."""
+        return [decode_flat(labels, self.threshold) for labels in self._labels(batch_ids)]
 
     def predict_nested(
         self,
@@ -378,7 +370,9 @@ class SpanKLModel(EncoderModel):
         skipped: the multi-label matrices natively express nested and
         overlapping mentions; flat aggregation is a separate post-step."""
         thr = self.threshold if threshold is None else threshold
-        wanted, probs = self._probs(token_ids, types)
+        with nc.no_grad():
+            wanted, logits, _ = self._scores([token_ids], types)
+            probs = nc.sigmoid(logits).data[0]
         t, i, j, score = _upper_cells(probs, thr)
         return [
             (int(a) + 1, int(b) + 1, wanted[c], float(s)) for c, a, b, s in zip(t, i, j, score)

@@ -1,6 +1,8 @@
 """Batching contract: one padded graph per mini-batch gives the mean of
 the per-sentence losses and the same gradients, and padding receives
-exactly zero gradient.
+exactly zero gradient. Inference groups sentences by exact length and
+gives bit for bit what one-sentence calls give, without touching a
+gradient.
 
 The padded reference values (KD cells, ExtendNER/AddNER teacher rows)
 are validated by the loss ops themselves: a padded KD cell outside
@@ -15,6 +17,7 @@ import pytest
 from clner import numcore as nc
 from clner import spankl
 from clner.baselines import AddNerTagger, ExtendNerTagger
+from clner.clrunner import cache_digest
 from clner.encoder import EncoderConfig, TransformerEncoder
 
 BATCH = [[3, 9, 2], [14, 5, 5, 21, 7, 8, 4], [6], [11, 12, 13, 2, 3]]
@@ -164,3 +167,48 @@ def test_trained_loss_is_the_gated_loss(with_teacher, train):
         assert abs(trained.item() - gated.item()) <= 1e-12
         for name, got in grads_of(model).items():
             assert np.abs(got - want[name]).max() <= 1e-12, name
+
+
+# mixed lengths in interleaved order, a repeated sentence and a length
+# that occurs once (1 token)
+INFER = [[3, 9, 2], [14, 5, 5, 21, 7], [6], [11, 12, 13], [3, 9, 2], [1, 4, 8, 8, 2], [7, 7, 7]]
+
+
+def arrays(labels) -> list[np.ndarray]:
+    """One sentence's teacher labels as a list of arrays: per old type
+    (SpanKL), per head (AddNER) or the single softmax (ExtendNER)."""
+    if isinstance(labels, dict):
+        return [labels[t] for t in sorted(labels)]
+    return list(labels) if isinstance(labels, list) else [labels]
+
+
+@pytest.mark.parametrize("kind", ["spankl", "extendner", "addner"])
+class TestLengthBucketedInference:
+    @staticmethod
+    def built(kind):
+        model, _ = build(kind, with_teacher=False)
+        rng = np.random.default_rng(3)
+        for p in model.named_parameters().values():
+            p.grad = rng.standard_normal(p.shape)
+        return model, {k: p.grad.copy() for k, p in model.named_parameters().items()}
+
+    def test_predict_many_equals_one_sentence_calls(self, kind):
+        model, grads = self.built(kind)
+        got = model.predict_many(INFER)
+        assert got == [model.predict(ids) for ids in INFER]
+        assert any(got) and got[0] == got[4]
+        for name, p in model.named_parameters().items():
+            np.testing.assert_array_equal(p.grad, grads[name], err_msg=name)
+
+    def test_teacher_pass_equals_one_sentence_calls(self, kind):
+        model, grads = self.built(kind)
+        old = ["LOC", "ORG"]
+        got = model.teacher_predict(INFER, old)
+        want = [model.teacher_predict([ids], old)[0] for ids in INFER]
+        assert cache_digest(got) == cache_digest(want)
+        for g, w in zip(got, want):
+            assert len(arrays(g)) == len(arrays(w)) > 0
+            for a, b in zip(arrays(g), arrays(w)):
+                assert np.array_equal(a, b)
+        for name, p in model.named_parameters().items():
+            np.testing.assert_array_equal(p.grad, grads[name], err_msg=name)

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from clner.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main, parse_config_file
+from clner.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, parse_config_file
+from clner.spankl import SpanKLModel
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -179,6 +180,15 @@ class TestTrain:
             ["--set", "seed=-1"],
             ["--seeds", "-1"],
             ["--seeds", "2,-1"],
+            ["--set", "lr_heads=nan"],
+            ["--set", "lr_encoder=inf"],
+            ["--set", "weight_decay=nan"],
+            ["--set", "alpha=inf"],
+            ["--alpha", "nan"],
+            ["--beta", "nan"],
+            ["--beta", "inf"],
+            ["--model", "extendner", "--set", "pad_constant=nan"],
+            ["--model", "extendner", "--set", "pad_constant=inf"],
         ],
         ids=lambda extra: " ".join(extra),
     )
@@ -189,6 +199,16 @@ class TestTrain:
         assert code == EXIT_USAGE
         assert "invalid config" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_finite_loss_is_runtime_error(self, tmp_path, capsys, monkeypatch):
+        bench = synth(tmp_path)
+        batch_loss = SpanKLModel.batch_loss
+        monkeypatch.setattr(
+            SpanKLModel, "batch_loss", lambda *a: batch_loss(*a) * float("nan")
+        )
+        code = main(["train", "--benchmark", str(bench), "--out", str(tmp_path / "run")] + TRAIN_FAST)
+        assert code == EXIT_RUNTIME
+        assert "step 1: non-finite loss nan at epoch 1, batch 1" in capsys.readouterr().err
 
     def test_missing_benchmark_is_data_error(self, tmp_path):
         code = main(

@@ -24,6 +24,7 @@ from clner.clrunner import (
     run_cl,
     run_noncl,
 )
+from clner.spankl import SpanKLModel
 
 
 TINY = dict(
@@ -60,6 +61,14 @@ class TestRunConfig:
         assert len(problems) == 4
         assert any("model" in p for p in problems)
         assert any("epochs" in p for p in problems)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_floats_rejected(self, value):
+        floats = [f.name for f in dataclasses.fields(RunConfig) if isinstance(f.default, float)]
+        assert {"lr_heads", "lr_encoder", "weight_decay", "alpha", "beta", "pad_constant"} <= set(floats)
+        for name in floats:
+            problems = RunConfig(**{name: value}).validate()
+            assert f"{name}: must be finite, got {value}" in problems
 
     def test_from_mapping_coerces_types(self):
         cfg = RunConfig.from_mapping(
@@ -161,6 +170,17 @@ class TestRunCl:
         digest = cache_digest(cache)
         recorded = (out / "cl" / "step_02" / "teacher_digest.txt").read_text().strip()
         assert digest == recorded
+
+    def test_non_finite_loss_aborts_with_step_epoch_and_batch(self, bench, monkeypatch):
+        batch_loss = SpanKLModel.batch_loss
+
+        def poisoned(self, ids, gold, current, distilled, *rest):
+            loss = batch_loss(self, ids, gold, current, distilled, *rest)
+            return loss if distilled is None else loss * float("nan")
+
+        monkeypatch.setattr(SpanKLModel, "batch_loss", poisoned)
+        with pytest.raises(RunError, match="step 2: non-finite loss nan at epoch 1, batch 1"):
+            run_cl(RunConfig(**TINY), bench)
 
     def test_missing_checkpoint_aborts_with_step(self, bench, tmp_path):
         with pytest.raises(RunError) as err:

@@ -1,6 +1,8 @@
 """Tensor engine: forward values, gradients vs finite differences, Adam."""
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,78 @@ class TestDeterminism:
         l2, g2 = run()
         assert l1 == l2
         np.testing.assert_array_equal(g1, g2)
+
+
+class TestNoGrad:
+    @staticmethod
+    def every_op():
+        """One call of every op, each on parameters where it takes any."""
+        rng = np.random.default_rng(9)
+        m = nc.parameter(rng.normal(size=(3, 4)))
+        v = nc.parameter(rng.normal(size=4))
+        w = nc.parameter(rng.normal(size=(4, 2)))
+        table = nc.parameter(rng.normal(size=(5, 4)))
+        probs = np.full((3, 4), 0.25)
+        return {
+            "matmul": lambda: nc.matmul(m, w),
+            "add": lambda: nc.add(m, v),
+            "sub": lambda: nc.sub(m, v),
+            "mul": lambda: nc.mul(m, v),
+            "sigmoid": lambda: nc.sigmoid(m),
+            "softmax": lambda: nc.softmax(m, axis=-1),
+            "reshape": lambda: nc.reshape(m, (4, 3)),
+            "permute": lambda: nc.permute(m, (1, 0)),
+            "tensor_slice": lambda: nc.tensor_slice(m, np.array([2, 0])),
+            "concat": lambda: nc.concat([m, m], axis=0),
+            "gather_rows": lambda: nc.gather_rows(table, [4, 0, 4]),
+            "layer_norm": lambda: nc.layer_norm(m, v, v),
+            "bce_with_logits": lambda: nc.bce_with_logits(m, probs),
+            "bernoulli_kl_with_logits": lambda: nc.bernoulli_kl_with_logits(m, probs),
+            "cross_entropy_rows": lambda: nc.cross_entropy_rows(m, [0, 3, 1]),
+            "kl_div_rows": lambda: nc.kl_div_rows(m, probs),
+        }
+
+    def test_every_op_records_nothing_and_computes_the_same(self):
+        for name, op in self.every_op().items():
+            recorded = op()
+            assert recorded.requires_grad and recorded._parents, name
+            with nc.no_grad():
+                out = op()
+            assert out.requires_grad is False, name
+            assert out._parents == () and out._backprop is None, name
+            np.testing.assert_array_equal(out.data, recorded.data, err_msg=name)
+
+    def test_shape_checks_still_run(self):
+        with nc.no_grad(), pytest.raises(nc.ShapeError):
+            nc.matmul(nc.parameter(np.zeros((2, 3))), nc.parameter(np.zeros((2, 3))))
+
+    @staticmethod
+    def records() -> bool:
+        return nc.sigmoid(nc.parameter(np.zeros(2))).requires_grad
+
+    def test_mode_restored_after_block_exception_and_nesting(self):
+        with nc.no_grad():
+            assert not self.records()
+        assert self.records()
+        with pytest.raises(RuntimeError):
+            with nc.no_grad():
+                raise RuntimeError("inside")
+        assert self.records()
+        with nc.no_grad():
+            with nc.no_grad():
+                assert not self.records()
+            assert not self.records()
+        assert self.records()
+
+    def test_other_threads_keep_recording(self):
+        seen = []
+        with nc.no_grad():
+            worker = threading.Thread(target=lambda: seen.append(self.records()))
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            assert not self.records()
+        assert seen == [True]
 
 
 class TestAdam:

@@ -271,7 +271,8 @@ class _Trainer:
         holding the weights of the best dev epoch (later epochs win ties).
         Each mini-batch is one padded graph and one loss call. A frozen
         encoder is kept out of the graph, so it gathers no gradient. A
-        non-finite loss aborts the run before its backward pass."""
+        non-finite loss aborts the run before its backward pass, a
+        non-finite gradient before the update."""
         cfg = self.config
         for p in model.encoder_parameters():
             p.requires_grad = not cfg.freeze_encoder
@@ -310,6 +311,10 @@ class _Trainer:
                         step, f"non-finite loss {loss.data} at epoch {epoch}, batch {b + 1}"
                     )
                 loss.backward()
+                if not opt.gradients_finite():
+                    raise RunError(
+                        step, f"non-finite gradient at epoch {epoch}, batch {b + 1}"
+                    )
                 opt_step += 1
                 if cfg.schedule == "warmup_cosine":
                     factor = self._lr_factor(opt_step, total_opt_steps)

@@ -14,7 +14,6 @@ from clner.numcore.tensor import (
     add,
     backward,
     bce_with_logits,
-    bernoulli_kl_with_logits,
     concat,
     cross_entropy_rows,
     gather_rows,
@@ -44,7 +43,6 @@ __all__ = [
     "add",
     "backward",
     "bce_with_logits",
-    "bernoulli_kl_with_logits",
     "concat",
     "cross_entropy_rows",
     "gather_rows",

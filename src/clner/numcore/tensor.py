@@ -222,8 +222,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ grad, b.shape))
 
-    out = _make(data, (a, b), backprop)
-    return out
+    return _make(data, (a, b), backprop)
 
 
 def _broadcast_binary(a: Tensor, b: Tensor, fwd, da, db, name: str) -> Tensor:
@@ -238,8 +237,7 @@ def _broadcast_binary(a: Tensor, b: Tensor, fwd, da, db, name: str) -> Tensor:
         if b.requires_grad:
             _accumulate(b, _unbroadcast(db(grad), b.shape))
 
-    out = _make(data, (a, b), backprop)
-    return out
+    return _make(data, (a, b), backprop)
 
 
 def add(a, b) -> Tensor:
@@ -260,12 +258,10 @@ def mul(a, b) -> Tensor:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) where x >= 0 and e^x / (1 + e^x) elsewhere, from
+    one exp(-|x|), which never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(x) -> Tensor:
@@ -275,8 +271,7 @@ def sigmoid(x) -> Tensor:
     def backprop(grad):
         _accumulate(x, grad * s * (1.0 - s))
 
-    out = _make(s, (x,), backprop)
-    return out
+    return _make(s, (x,), backprop)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -288,8 +283,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     def backprop(g):
         _accumulate(x, (g - (g * s).sum(axis=axis, keepdims=True)) * s)
 
-    out = _make(s, (x,), backprop)
-    return out
+    return _make(s, (x,), backprop)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -302,8 +296,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     def backprop(grad):
         _accumulate(x, grad.reshape(x.shape))
 
-    out = _make(data, (x,), backprop)
-    return out
+    return _make(data, (x,), backprop)
 
 
 def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -316,8 +309,7 @@ def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     def backprop(grad):
         _accumulate(x, grad.transpose(inverse))
 
-    out = _make(x.data.transpose(axes), (x,), backprop)
-    return out
+    return _make(x.data.transpose(axes), (x,), backprop)
 
 
 def tensor_slice(x: Tensor, key) -> Tensor:
@@ -331,8 +323,7 @@ def tensor_slice(x: Tensor, key) -> Tensor:
         g[key] += grad
         _accumulate(x, g)
 
-    out = _make(data, (x,), backprop)
-    return out
+    return _make(data, (x,), backprop)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -354,8 +345,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             idx[axis] = slice(lo, hi)
             _accumulate(t, grad[tuple(idx)])
 
-    out = _make(data, tuple(ts), backprop)
-    return out
+    return _make(data, tuple(ts), backprop)
 
 
 def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
@@ -375,8 +365,7 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
         np.add.at(g, idx, grad)
         _accumulate(table, g)
 
-    out = _make(data, (table,), backprop)
-    return out
+    return _make(data, (table,), backprop)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -406,8 +395,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         _accumulate(gain, (g * xhat).sum(axis=reduce_axes))
         _accumulate(bias, g.sum(axis=reduce_axes))
 
-    out = _make(data, (x, gain, bias), backprop)
-    return out
+    return _make(data, (x, gain, bias), backprop)
 
 
 # ---------------------------------------------------------------------------
@@ -416,56 +404,29 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, z)
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-def bce_with_logits(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
-    """Sum of per-cell binary cross entropy, in the stable logit form
-    softplus(z) - t*z. ``targets`` and ``mask`` are constants."""
+def bce_with_logits(logits: Tensor, targets: np.ndarray, weights: np.ndarray | None = None) -> Tensor:
+    """Weighted sum of per-cell binary cross entropy, in the stable logit
+    form softplus(z) - t*z. ``targets`` are soft labels in [0, 1] (a
+    teacher probability as well as a gold 0/1), ``weights`` non-negative
+    per-cell factors (0 drops a cell); both are constants. The gradient
+    of cell z is weight * (sigmoid(z) - t)."""
     logits = _lift(logits)
     t = np.asarray(targets, dtype=np.float64)
     if t.shape != logits.shape:
         raise ShapeError(f"bce_with_logits: targets shape {t.shape} vs logits {logits.shape}")
-    m = np.ones_like(t) if mask is None else np.asarray(mask, dtype=np.float64)
-    if m.shape != logits.shape:
-        raise ShapeError(f"bce_with_logits: mask shape {m.shape} vs logits {logits.shape}")
+    w = np.ones_like(t) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != logits.shape:
+        raise ShapeError(f"bce_with_logits: weights shape {w.shape} vs logits {logits.shape}")
     z = logits.data
-    data = np.asarray((m * (_softplus(z) - t * z)).sum())
+    data = np.asarray((w * (_softplus(z) - t * z)).sum())
 
     def backprop(grad):
-        _accumulate(logits, grad * m * (_stable_sigmoid(z) - t))
+        _accumulate(logits, grad * w * (_stable_sigmoid(z) - t))
 
-    out = _make(data, (logits,), backprop)
-    return out
-
-
-def bernoulli_kl_with_logits(
-    logits: Tensor, ref_probs: np.ndarray, mask: np.ndarray | None = None
-) -> Tensor:
-    """Sum over cells of KL(ref || sigmoid(logit)) for Bernoulli variables.
-
-    ``ref_probs`` must lie strictly inside (0, 1); callers clamp first.
-    Uses p*softplus(-z) + (1-p)*softplus(z) + p*log p + (1-p)*log(1-p).
-    """
-    logits = _lift(logits)
-    p = np.asarray(ref_probs, dtype=np.float64)
-    if p.shape != logits.shape:
-        raise ShapeError(f"bernoulli_kl: ref shape {p.shape} vs logits {logits.shape}")
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise ValueError("bernoulli_kl: reference probabilities must be in (0, 1)")
-    m = np.ones_like(p) if mask is None else np.asarray(mask, dtype=np.float64)
-    if m.shape != logits.shape:
-        raise ShapeError(f"bernoulli_kl: mask shape {m.shape} vs logits {logits.shape}")
-    z = logits.data
-    q = 1.0 - p
-    cells = p * _softplus(-z) + q * _softplus(z) + p * np.log(p) + q * np.log(q)
-    data = np.asarray((m * cells).sum())
-
-    def backprop(grad):
-        _accumulate(logits, grad * m * (_stable_sigmoid(z) - p))
-
-    out = _make(data, (logits,), backprop)
-    return out
+    return _make(data, (logits,), backprop)
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -497,8 +458,7 @@ def cross_entropy_rows(
         sm[np.arange(n), ids] -= 1.0
         _accumulate(logits, grad * m[:, None] * sm)
 
-    out = _make(data, (logits,), backprop)
-    return out
+    return _make(data, (logits,), backprop)
 
 
 def kl_div_rows(
@@ -528,5 +488,4 @@ def kl_div_rows(
     def backprop(grad):
         _accumulate(logits, grad * m[:, None] * (np.exp(ls) - p))
 
-    out = _make(data, (logits,), backprop)
-    return out
+    return _make(data, (logits,), backprop)

@@ -8,8 +8,9 @@ region. The projections of all types are stacked along a leading type
 axis, so one tensor op scores every type of every sentence in a padded
 batch as a (B, T, n, n) array. Training uses per-cell binary cross
 entropy on the current types plus Bernoulli KL against cached teacher
-probabilities on the old types; losses never read cells below the
-diagonal or past a sentence's end.
+probabilities on the old types, evaluated as one weighted cross-entropy
+op over soft targets; the loss never reads cells below the diagonal or
+past a sentence's end.
 """
 from __future__ import annotations
 
@@ -23,8 +24,6 @@ from clner.encoder import EncoderModel, TransformerEncoder, fan_in_uniform, leng
 DEFAULT_SPAN_DIM = 50
 DEFAULT_THRESHOLD = 0.5
 TEACHER_PROB_CLAMP = 1e-7
-# any probability strictly inside (0, 1) serves: masked cells carry no loss
-_PAD_PROB = 0.5
 _HEAD_PARTS = ("start_w", "start_b", "end_w", "end_b")
 
 _TRIU_CACHE: dict[int, np.ndarray] = {}
@@ -58,28 +57,36 @@ def span_logits(
     return nc.matmul(start, nc.permute(end, (0, 1, 3, 2))) * (start_w.shape[2] ** -0.5)
 
 
-def _cells(lengths: np.ndarray, n: int, types: Sequence[str], chosen) -> np.ndarray:
-    """(B, T, n, n) indicator of the cells a loss reads: upper triangle
-    within each sentence's length, on the chosen types of the type axis."""
-    owned = triu_mask(n) * length_mask(lengths, n)[:, None, :]
-    chosen = set(chosen)
-    on_type = np.array([t in chosen for t in types], dtype=np.float64)
-    return owned[:, None] * on_type[None, :, None, None]
-
-
-def masked_bce(
+def objective(
     logits: nc.Tensor,
     lengths: np.ndarray,
-    golds: Sequence[Mapping[str, Iterable[tuple[int, int]]]],
     types: Sequence[str],
     current_types: Sequence[str],
+    golds: Sequence[Mapping[str, Iterable[tuple[int, int]]]],
+    distilled: Sequence[Mapping[str, np.ndarray]] | None,
+    alpha: float,
+    beta: float,
 ) -> nc.Tensor:
-    """Binary cross entropy summed over the read cells of the current
-    types. ``logits`` is (B, T, n, n) with ``types`` along T; each
-    sentence's gold maps a current type to its (start, end) spans, which
-    take label 1, every other cell 0."""
+    """alpha * BCE over the current types plus beta * Bernoulli KL over
+    the other (old) types of ``types``, summed over the read cells (upper
+    triangle within each sentence's length) of every sentence.
+
+    ``logits`` is (B, T, n, n) with ``types`` along T. Each sentence's
+    gold maps a current type to its (start, end) spans, which take label
+    1, every other cell 0; its distilled labels map each old type to the
+    teacher's (n_b, n_b) probabilities, clamped into [1e-7, 1 - 1e-7].
+    Both terms are the cross entropy softplus(z) - t*z against a soft
+    target t, so they are one weighted ``bce_with_logits`` call; the KL
+    adds the teacher's constant negative entropy sum p log p + q log q."""
     column = {t: k for k, t in enumerate(types)}
+    current = [column[t] for t in current_types]
+    old_types = [t for t in types if t not in current_types]
+    if old_types and distilled is None:
+        raise ValueError(f"distilled labels missing for old types: {sorted(old_types)}")
+    owned = triu_mask(logits.shape[-1]) * length_mask(lengths, logits.shape[-1])[:, None, :]
     target = np.zeros(logits.shape)
+    weight = np.zeros(logits.shape)
+    weight[:, current] = alpha * owned[:, None]
     for b, (gold, size) in enumerate(zip(golds, lengths)):
         extra = set(gold) - set(current_types)
         if extra:
@@ -89,23 +96,9 @@ def masked_bce(
                 if not (1 <= i <= j <= size):
                     raise ValueError(f"gold span ({i}, {j}) outside a {size}-token sentence")
                 target[b, column[t], i - 1, j - 1] = 1.0
-    cells = _cells(lengths, logits.shape[-1], types, current_types)
-    return nc.bce_with_logits(logits, target, cells)
-
-
-def masked_kd(
-    logits: nc.Tensor,
-    lengths: np.ndarray,
-    distilled: Sequence[Mapping[str, np.ndarray]],
-    types: Sequence[str],
-    old_types: Sequence[str],
-) -> nc.Tensor:
-    """Bernoulli KL between each sentence's cached teacher probabilities
-    (clamped into [1e-7, 1 - 1e-7]) and the student's sigmoid outputs,
-    summed over the read cells of the old types; ``logits`` as in
-    ``masked_bce``."""
-    column = {t: k for k, t in enumerate(types)}
-    ref = np.full(logits.shape, _PAD_PROB)
+    if not old_types:
+        return nc.bce_with_logits(logits, target, weight)
+    old = [column[t] for t in old_types]
     for b, (labels, size) in enumerate(zip(distilled, lengths)):
         missing, extra = set(old_types) - set(labels), set(labels) - set(old_types)
         if missing:
@@ -118,11 +111,14 @@ def masked_kd(
                     f"distilled matrix for {t!r} has shape {np.shape(labels[t])}, "
                     f"expected {(size, size)}"
                 )
-            ref[b, column[t], :size, :size] = np.clip(
+            target[b, column[t], :size, :size] = np.clip(
                 labels[t], TEACHER_PROB_CLAMP, 1.0 - TEACHER_PROB_CLAMP
             )
-    cells = _cells(lengths, logits.shape[-1], types, old_types)
-    return nc.bernoulli_kl_with_logits(logits, ref, cells)
+    weight[:, old] = beta * owned[:, None]
+    p = target[:, old]
+    p = p[np.broadcast_to(owned[:, None] > 0.0, p.shape)]
+    entropy = (p * np.log(p) + (1.0 - p) * np.log1p(-p)).sum()
+    return nc.bce_with_logits(logits, target, weight) + beta * entropy
 
 
 def _one_sentence(matrices: Mapping[str, nc.Tensor], types: Sequence[str]):
@@ -138,12 +134,13 @@ def bce_loss(
     gold: Mapping[str, Iterable[tuple[int, int]]],
     current_types: Sequence[str],
 ) -> nc.Tensor:
-    """``masked_bce`` on one sentence's per-type matrices: summed over the
-    upper-triangle cells of the current types."""
+    """Binary cross entropy of one sentence's per-type matrices, summed
+    over the upper-triangle cells of the current types: ``objective``
+    with alpha 1 on a batch of one."""
     if not current_types:
         raise ValueError("bce_loss needs at least one current type")
     logits, lengths = _one_sentence(matrices, current_types)
-    return masked_bce(logits, lengths, [gold], current_types, current_types)
+    return objective(logits, lengths, current_types, current_types, [gold], None, 1.0, 0.0)
 
 
 def kd_loss(
@@ -151,12 +148,13 @@ def kd_loss(
     distilled: Mapping[str, np.ndarray],
     old_types: Sequence[str],
 ) -> nc.Tensor:
-    """``masked_kd`` on one sentence's per-type matrices: summed over the
-    upper-triangle cells of the old types."""
+    """Bernoulli KL of one sentence's per-type matrices against its
+    teacher probabilities, summed over the upper-triangle cells of the
+    old types: ``objective`` with beta 1 on a batch of one."""
     if not old_types:
         raise ValueError("kd_loss needs at least one old type")
     logits, lengths = _one_sentence(matrices, old_types)
-    return masked_kd(logits, lengths, [distilled], old_types, old_types)
+    return objective(logits, lengths, old_types, [], [{}], [distilled], 0.0, 1.0)
 
 
 def total_loss(bce, kd, alpha: float, beta: float) -> nc.Tensor:
@@ -340,9 +338,9 @@ class SpanKLModel(EncoderModel):
             for span in spans:
                 by_type.setdefault(span[2], []).append((span[0], span[1]))
             golds.append(by_type)
-        loss = nc.mul(masked_bce(logits, lengths, golds, wanted, current_types), alpha)
-        if use_kd:
-            loss = loss + nc.mul(masked_kd(logits, lengths, distilled, wanted, old_types), beta)
+        loss = objective(
+            logits, lengths, wanted, current_types, golds, distilled if use_kd else None, alpha, beta
+        )
         return nc.mul(loss, 1.0 / len(lengths))
 
     def teacher_predict(

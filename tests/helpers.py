@@ -88,6 +88,53 @@ def bernoulli_kl_cell(p_ref: float, p_hat: float) -> float:
     )
 
 
+def two_branch_sigmoid(x):
+    """Sigmoid evaluated per sign on the gathered elements:
+    1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) for the rest."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class PerParameterAdamW:
+    """The AdamW update as a loop over parameters, each with its own
+    moment arrays, updating ``p.data`` in place from ``p.grad``. Groups
+    are dicts with ``params``, ``lr`` and optional ``weight_decay``."""
+
+    def __init__(self, groups, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+        self.groups = [
+            {"params": list(g["params"]), "lr": float(g["lr"]),
+             "weight_decay": float(g.get("weight_decay", weight_decay))}
+            for g in groups
+        ]
+        self.betas, self.eps, self.step_count = betas, eps, 0
+        self.moments = {}
+
+    def step(self):
+        self.step_count += 1
+        b1, b2 = self.betas
+        bc1 = 1.0 - b1**self.step_count
+        bc2 = 1.0 - b2**self.step_count
+        for group in self.groups:
+            lr, wd = group["lr"], group["weight_decay"]
+            for p in group["params"]:
+                if id(p) not in self.moments:
+                    self.moments[id(p)] = (np.zeros_like(p.data), np.zeros_like(p.data))
+                m, v = self.moments[id(p)]
+                g = p.grad
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * g * g
+                p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                if wd:
+                    p.data -= lr * wd * p.data
+
+
 def spans_overlap(a, b) -> bool:
     """Token ranges [a.i, a.j] and [b.i, b.j] (inclusive) intersect."""
     return not (a[1] < b[0] or b[1] < a[0])

@@ -4,8 +4,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from clner import clrunner
+from clner import numcore as nc
 from clner.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, parse_config_file
 from clner.spankl import SpanKLModel
 
@@ -209,6 +212,25 @@ class TestTrain:
         code = main(["train", "--benchmark", str(bench), "--out", str(tmp_path / "run")] + TRAIN_FAST)
         assert code == EXIT_RUNTIME
         assert "step 1: non-finite loss nan at epoch 1, batch 1" in capsys.readouterr().err
+
+    def test_non_finite_gradient_is_runtime_error(self, tmp_path, capsys, monkeypatch):
+        bench = synth(tmp_path)
+        opts = []
+        optimizer, backward = clrunner._Trainer.optimizer, nc.Tensor.backward
+
+        def keep(self, model):
+            opts.append(optimizer(self, model))
+            return opts[-1]
+
+        def poisoned(loss):
+            backward(loss)
+            opts[-1].parameters()[0].grad.flat[-1] = np.inf
+
+        monkeypatch.setattr(clrunner._Trainer, "optimizer", keep)
+        monkeypatch.setattr(nc.Tensor, "backward", poisoned)
+        code = main(["train", "--benchmark", str(bench), "--out", str(tmp_path / "run")] + TRAIN_FAST)
+        assert code == EXIT_RUNTIME
+        assert "step 1: non-finite gradient at epoch 1, batch 1" in capsys.readouterr().err
 
     def test_missing_benchmark_is_data_error(self, tmp_path):
         code = main(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from clner import clrunner
+from clner import numcore as nc
 from clner.cldata import (
     default_toy_spec,
     generate_toy_corpus,
@@ -181,6 +182,33 @@ class TestRunCl:
         monkeypatch.setattr(SpanKLModel, "batch_loss", poisoned)
         with pytest.raises(RunError, match="step 2: non-finite loss nan at epoch 1, batch 1"):
             run_cl(RunConfig(**TINY), bench)
+
+    def test_non_finite_gradient_aborts_before_the_update(self, bench, monkeypatch):
+        # the loss stays finite; one gradient entry turns NaN after backward
+        opts, before = [], {}
+        optimizer, backward = clrunner._Trainer.optimizer, nc.Tensor.backward
+        poison_at = [2, 2]  # step 2 (second optimizer), second backward
+
+        def keep(self, model):
+            opts.append(optimizer(self, model))
+            return opts[-1]
+
+        def poisoned(loss):
+            backward(loss)
+            if len(opts) == poison_at[0]:
+                poison_at[1] -= 1
+                if poison_at[1] == 0:
+                    params = opts[-1].parameters()
+                    before.update({id(p): p.data.copy() for p in params})
+                    params[-1].grad.flat[0] = np.nan
+
+        monkeypatch.setattr(clrunner._Trainer, "optimizer", keep)
+        monkeypatch.setattr(nc.Tensor, "backward", poisoned)
+        with pytest.raises(RunError, match="step 2: non-finite gradient at epoch 1, batch 2"):
+            run_cl(RunConfig(**TINY), bench)
+        assert before
+        for p in opts[-1].parameters():
+            np.testing.assert_array_equal(p.data, before[id(p)])
 
     def test_missing_checkpoint_aborts_with_step(self, bench, tmp_path):
         with pytest.raises(RunError) as err:

@@ -7,12 +7,30 @@ import numpy as np
 import pytest
 
 from clner import numcore as nc
-from helpers import assert_gradients_match, finite_difference_grads, max_rel_err, total
+from clner.encoder import EncoderConfig, TransformerEncoder
+from clner.spankl import SpanKLModel
+from helpers import (
+    PerParameterAdamW,
+    assert_gradients_match,
+    bce_cell,
+    finite_difference_grads,
+    max_rel_err,
+    total,
+    two_branch_sigmoid,
+)
 
 
 class TestForwardValues:
     def test_sigmoid_at_zero(self):
         assert nc.sigmoid(nc.tensor(0.0)).item() == 0.5
+
+    def test_sigmoid_equals_the_two_branch_form_bitwise(self):
+        rng = np.random.default_rng(1)
+        extremes = [0.0, -0.0, 5e-324, -5e-324, 36.7, -36.7, 709.0, -745.2, 800.0, -800.0]
+        for x in (rng.normal(scale=8.0, size=(2, 6, 40, 40)), np.array(extremes + [np.inf, -np.inf])):
+            got = nc.sigmoid(x).data
+            np.testing.assert_array_equal(got, two_branch_sigmoid(x))
+            assert np.array_equal(np.signbit(got), np.signbit(two_branch_sigmoid(x)))
 
     def test_matmul_identity(self):
         rng = np.random.default_rng(0)
@@ -162,11 +180,17 @@ class TestGradientsMatchFiniteDifferences:
         mask = np.triu(np.ones((4, 4)))
         assert_gradients_match(lambda: nc.bce_with_logits(z, targets, mask), [z])
 
-    def test_bernoulli_kl_with_logits(self):
-        z = self.param(4, 4)
-        ref = self.rng.uniform(0.05, 0.95, size=(4, 4))
-        mask = np.triu(np.ones((4, 4)))
-        assert_gradients_match(lambda: nc.bernoulli_kl_with_logits(z, ref, mask), [z])
+    def test_bce_with_logits_soft_targets_and_weights(self):
+        z = self.param(2, 3, 4, 4)
+        targets = self.rng.uniform(0.05, 0.95, size=(2, 3, 4, 4))
+        weights = self.rng.uniform(0.0, 2.0, size=(2, 3, 4, 4)) * np.triu(np.ones((4, 4)))
+        assert_gradients_match(lambda: nc.bce_with_logits(z, targets, weights), [z])
+        # soft-target cross entropy of a cell: t * bce(z, 1) + (1 - t) * bce(z, 0)
+        want = sum(
+            w * (t * bce_cell(x, 1.0) + (1.0 - t) * bce_cell(x, 0.0))
+            for x, t, w in zip(z.data.ravel(), targets.ravel(), weights.ravel())
+        )
+        assert abs(nc.bce_with_logits(z, targets, weights).item() - want) <= 1e-12
 
     def test_cross_entropy_rows(self):
         z = self.param(5, 3)
@@ -235,7 +259,6 @@ class TestNoGrad:
             "gather_rows": lambda: nc.gather_rows(table, [4, 0, 4]),
             "layer_norm": lambda: nc.layer_norm(m, v, v),
             "bce_with_logits": lambda: nc.bce_with_logits(m, probs),
-            "bernoulli_kl_with_logits": lambda: nc.bernoulli_kl_with_logits(m, probs),
             "cross_entropy_rows": lambda: nc.cross_entropy_rows(m, [0, 3, 1]),
             "kl_div_rows": lambda: nc.kl_div_rows(m, probs),
         }
@@ -334,6 +357,80 @@ class TestAdam:
         opt.zero_grad()
         opt.step()
         np.testing.assert_allclose(w.data, [4.0 - 0.5 * 0.1 * 4.0])
+
+    def test_flat_buffers_equal_the_per_parameter_loop_bitwise(self):
+        rng = np.random.default_rng(11)
+        shapes = [[(), (3,), (2, 3, 4)], [(5,), (), (4, 1, 2)]]
+        values = [[rng.normal(size=s) for s in group] for group in shapes]
+
+        def groups(params):
+            return [
+                {"params": params[0], "lr": 0.05, "weight_decay": 0.01},
+                {"params": params[1], "lr": 0.2},
+            ]
+
+        flat = [[nc.parameter(v) for v in group] for group in values]
+        loop = [[nc.parameter(v) for v in group] for group in values]
+        opt = nc.AdamW(groups(flat), weight_decay=0.03)
+        oracle = PerParameterAdamW(groups(loop), weight_decay=0.03)
+        for k in range(50):
+            opt.zero_grad()
+            for a, b in zip(sum(flat, []), sum(loop, [])):
+                g = rng.normal(size=a.shape)
+                a.grad += g
+                b.grad = g.copy()
+            for opt_group, oracle_group in zip(opt.groups, oracle.groups):
+                opt_group["lr"] = oracle_group["lr"] = oracle_group["lr"] * (0.9 if k % 3 else 1.1)
+            opt.step()
+            oracle.step()
+            for a, b in zip(sum(flat, []), sum(loop, [])):
+                assert a.shape == b.shape
+                np.testing.assert_array_equal(a.data, b.data)
+
+    def test_snapshot_copy_unchanged_by_later_steps(self):
+        rng = np.random.default_rng(12)
+        encoder = TransformerEncoder(9, EncoderConfig(d_model=8, n_heads=2, max_len=8), rng)
+        model = SpanKLModel(encoder, d_span=4)
+        model.grow(["PER", "ORG"], rng)
+        opt = nc.AdamW([{"params": model.head_parameters(), "lr": 0.05},
+                        {"params": model.encoder_parameters(), "lr": 0.01}])
+
+        def train(steps):
+            for _ in range(steps):
+                opt.zero_grad()
+                model.sentence_loss([3, 1, 4], [(1, 2, "PER")], ["PER", "ORG"], None,
+                                    1.0, 1.0, False, None).backward()
+                opt.step()
+
+        train(3)
+        snapshot = {k: v.copy() for k, v in model.state_arrays().items()}
+        frozen = {k: v.copy() for k, v in snapshot.items()}
+        train(3)
+        for name, arr in snapshot.items():
+            np.testing.assert_array_equal(arr, frozen[name], err_msg=name)
+        assert any(
+            not np.array_equal(arr, snapshot[name]) for name, arr in model.state_arrays().items()
+        )
+
+    def test_rebound_parameter_rejected(self):
+        w = nc.parameter([1.0, 2.0])
+        opt = nc.AdamW([{"params": [w], "lr": 0.1}])
+        opt.zero_grad()
+        w.grad = np.ones(2)
+        with pytest.raises(ValueError, match="rebound"):
+            opt.step()
+        opt.zero_grad()
+        w.data = np.zeros(2)
+        with pytest.raises(ValueError, match="rebound"):
+            opt.step()
+
+    def test_gradients_finite(self):
+        a, b = nc.parameter([1.0]), nc.parameter(np.ones((2, 2)))
+        opt = nc.AdamW([{"params": [a], "lr": 0.1}, {"params": [b], "lr": 0.1}])
+        opt.zero_grad()
+        assert opt.gradients_finite()
+        b.grad[1, 0] = np.nan
+        assert not opt.gradients_finite()
 
     def test_per_group_learning_rates(self):
         a, b = nc.parameter([1.0]), nc.parameter([1.0])

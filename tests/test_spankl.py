@@ -157,6 +157,73 @@ class TestKdLoss:
                 assert val > 0.0
 
 
+class TestObjective:
+    """The fused objective against alpha * BCE + beta * KL summed cell by
+    cell over a padded batch of mixed lengths."""
+
+    TYPES = ["PER", "ORG", "LOC", "MISC"]
+    CURRENT = ["ORG", "MISC"]
+    LENGTHS = np.array([5, 2, 4])
+    GOLDS = [{"ORG": [(1, 3), (5, 5)], "MISC": [(2, 2)]}, {"MISC": [(1, 2)]}, {}]
+
+    def batch(self, seed):
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(scale=3.0, size=(3, 4, 5, 5))
+        teacher = [
+            {t: rng.uniform(0.0, 1.0, size=(n, n)) for t in ("PER", "LOC")} for n in self.LENGTHS
+        ]
+        teacher[0]["PER"][0, 0], teacher[2]["LOC"][1, 3] = 1.0, 0.0  # hit the clamp
+        return logits, teacher
+
+    def oracle(self, logits, teacher, alpha, beta):
+        want = 0.0
+        for b, n in enumerate(self.LENGTHS):
+            for k, t in enumerate(self.TYPES):
+                for i in range(n):
+                    for j in range(i, n):
+                        z = logits[b, k, i, j]
+                        if t in self.CURRENT:
+                            gold = float((i + 1, j + 1) in self.GOLDS[b].get(t, []))
+                            want += alpha * bce_cell(z, gold)
+                        elif teacher is not None:
+                            p = min(max(teacher[b][t][i, j], 1e-7), 1.0 - 1e-7)
+                            want += beta * bernoulli_kl_cell(p, 1.0 / (1.0 + math.exp(-z)))
+        return want
+
+    @pytest.mark.parametrize("with_teacher", [True, False], ids=["teacher", "no-teacher"])
+    def test_value_is_weighted_bce_plus_kl(self, with_teacher):
+        for seed in range(5):
+            logits, teacher = self.batch(seed)
+            types = self.TYPES if with_teacher else self.CURRENT
+            rows = [self.TYPES.index(t) for t in types]
+            got = spankl.objective(
+                nc.tensor(logits[:, rows]), self.LENGTHS, types, self.CURRENT, self.GOLDS,
+                teacher if with_teacher else None, 0.7, 1.3,
+            ).item()
+            want = self.oracle(logits, teacher if with_teacher else None, 0.7, 1.3)
+            assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+    def test_unread_cells_carry_nothing(self):
+        logits, teacher = self.batch(9)
+        z = nc.parameter(logits)
+        spankl.objective(z, self.LENGTHS, self.TYPES, self.CURRENT, self.GOLDS, teacher, 0.7, 1.3).backward()
+        read = np.triu(np.ones((5, 5)))[None, None] * (np.arange(5) < self.LENGTHS[:, None])[:, None, None, :]
+        assert np.all(z.grad[np.broadcast_to(read, z.shape) == 0.0] == 0.0)
+        assert_gradients_match(
+            lambda: spankl.objective(
+                z, self.LENGTHS, self.TYPES, self.CURRENT, self.GOLDS, teacher, 0.7, 1.3
+            ),
+            [z],
+        )
+
+    def test_old_types_need_teacher_labels(self):
+        logits, _ = self.batch(0)
+        with pytest.raises(ValueError, match="distilled labels missing"):
+            spankl.objective(
+                nc.tensor(logits), self.LENGTHS, self.TYPES, self.CURRENT, self.GOLDS, None, 1.0, 1.0
+            )
+
+
 class TestTotalLoss:
     def test_unit_weights(self):
         out = spankl.total_loss(nc.tensor(0.5), nc.tensor(0.25), 1.0, 1.0)

@@ -16,13 +16,7 @@ import numpy as np
 
 from clner import numcore as nc
 from clner.cldata import Span, decode_layer, encode_layer
-from clner.encoder import (
-    EncoderModel,
-    TransformerEncoder,
-    fan_in_uniform,
-    length_mask,
-    pad_batch,
-)
+from clner.encoder import EncoderModel, TransformerEncoder, fan_in_uniform, length_mask
 
 DEFAULT_PAD_CONSTANT = 1e-4
 
@@ -129,26 +123,24 @@ def _spans_from_tags(tags: Sequence[str], scores: Sequence[float]):
     return spans
 
 
-def _flat_rows(encoder: TransformerEncoder, batch_ids, train, rng):
-    """Encode a padded batch and flatten it to (B * n, d) token rows.
-    Returns the rows, the (B * n,) real-row indicator, n and the lengths."""
-    ids, lengths = pad_batch(batch_ids)
-    hidden = encoder.encode(ids, train=train, rng=rng, lengths=lengths)
+def _flat_rows(hidden: nc.Tensor, lengths: np.ndarray) -> tuple[nc.Tensor, np.ndarray, int]:
+    """A padded batch's (B, n, d) vectors as (B * n, d) token rows, with
+    the (B * n,) real-row indicator and n."""
     batch, n, d = hidden.shape
-    return nc.reshape(hidden, (batch * n, d)), length_mask(lengths, n).reshape(-1), n, lengths
+    return nc.reshape(hidden, (batch * n, d)), length_mask(lengths, n).reshape(-1), n
 
 
 def _gold_rows(
     batch_gold, types: Sequence[str], tag_list: Sequence[str], n: int, lengths
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per flattened row: the id in ``tag_list`` (O first) of the gold IOB
-    tag over ``types``, and whether that tag is an entity tag. Padding
-    rows get O."""
+    """Per flattened row: the one-hot gold IOB tag over ``types`` in
+    ``tag_list`` (O first), and whether that tag is an entity tag.
+    Padding rows get O."""
     gold_ids = np.zeros(len(lengths) * n, dtype=np.int64)
     for b, (spans, size) in enumerate(zip(batch_gold, lengths)):
         tags = iob_encode(spans, types, int(size))
         gold_ids[b * n : b * n + size] = [tag_list.index(t) for t in tags]
-    return gold_ids, (gold_ids > 0).astype(np.float64)
+    return np.eye(len(tag_list))[gold_ids], (gold_ids > 0).astype(np.float64)
 
 
 def _reference_rows(dists, width: int, n: int, lengths) -> np.ndarray:
@@ -160,25 +152,25 @@ def _reference_rows(dists, width: int, n: int, lengths) -> np.ndarray:
     return ref
 
 
+def _neg_entropy(rows: np.ndarray) -> np.ndarray:
+    """Per row, the sum of p log p (0 log 0 = 0): the constant by which
+    a row's KL exceeds its cross entropy."""
+    return np.where(rows > 0.0, rows * np.log(np.maximum(rows, 1e-300)), 0.0).sum(axis=-1)
+
+
 class AddNerTagger(EncoderModel):
     """Multi-head IOB tagger: one (1 + 2*|E_l|)-way head per task."""
 
     def __init__(self, encoder: TransformerEncoder):
-        self.encoder = encoder
+        super().__init__(encoder)
         self.task_types: list[tuple[str, ...]] = []
         self.weights: list[nc.Tensor] = []
         self.biases: list[nc.Tensor] = []
 
-    def registered_types(self) -> tuple[str, ...]:
-        return tuple(t for types in self.task_types for t in types)
-
-    def grow(self, new_types: Sequence[str], rng: np.random.Generator) -> None:
-        dup = set(new_types) & set(self.registered_types())
-        if dup:
-            raise ValueError(f"entity types already registered: {sorted(dup)}")
+    def _add_heads(self, new_types: tuple[str, ...], rng: np.random.Generator) -> None:
         width = len(head_tag_list(new_types))
         d = self.encoder.config.d_model
-        self.task_types.append(tuple(new_types))
+        self.task_types.append(new_types)
         self.weights.append(nc.parameter(fan_in_uniform(rng, (d, width))))
         self.biases.append(nc.parameter(np.zeros(width)))
 
@@ -203,23 +195,25 @@ class AddNerTagger(EncoderModel):
         train: bool,
         rng: np.random.Generator | None,
     ) -> nc.Tensor:
-        """Mean over the batch of each sentence's loss: cross entropy on
-        heads whose types are current; Bernoulli-free KL against the
-        teacher's own-head softmax on the older heads."""
-        rows, real, n, lengths = _flat_rows(self.encoder, batch_ids, train, rng)
+        """Mean over the batch of each sentence's loss: alpha * cross
+        entropy on heads whose types are current; beta * KL against the
+        teacher's own-head softmax on the older heads, as a cross entropy
+        against the teacher rows plus their constant negative entropy."""
+        hidden, lengths = self._encode(batch_ids, train, rng)
+        rows, real, n = _flat_rows(hidden, lengths)
         current = set(current_types)
         taught = min(len(d) for d in distilled) if distilled is not None else 0
         loss: nc.Tensor | None = None
         for idx, types in enumerate(self.task_types):
             if set(types) <= current:
-                gold_ids, _ = _gold_rows(batch_gold, types, head_tag_list(types), n, lengths)
-                term = nc.mul(
-                    nc.cross_entropy_rows(self._head_logits(rows, idx), gold_ids, real), alpha
-                )
+                gold, _ = _gold_rows(batch_gold, types, head_tag_list(types), n, lengths)
+                term = nc.softmax_cross_entropy(self._head_logits(rows, idx), gold, alpha * real)
             elif idx < taught:
                 width = self.weights[idx].shape[1]
                 ref = _reference_rows([d[idx] for d in distilled], width, n, lengths)
-                term = nc.mul(nc.kl_div_rows(self._head_logits(rows, idx), ref, real), beta)
+                term = nc.softmax_cross_entropy(
+                    self._head_logits(rows, idx), ref, beta * real
+                ) + beta * (real * _neg_entropy(ref)).sum()
             else:
                 continue
             loss = term if loss is None else loss + term
@@ -227,30 +221,20 @@ class AddNerTagger(EncoderModel):
             raise ValueError("no head received a training signal for this batch")
         return nc.mul(loss, 1.0 / len(lengths))
 
-    def _head_probs(self, batch_ids: Sequence[Sequence[int]]) -> list[np.ndarray]:
-        """Each head's (B, n, width) softmax rows of an equal-length batch."""
-        hidden = self.encoder.encode(batch_ids)
-        return [
+    def _probs(self, batch_ids: Sequence[Sequence[int]], types: Sequence[str]) -> list:
+        """Per sentence of an equal-length batch, each head's (n, width)
+        softmax rows; every head covers registered types only, so all
+        heads answer for ``types``."""
+        hidden, _ = self._encode(batch_ids)
+        heads = [
             nc.softmax(self._head_logits(hidden, idx), axis=-1).data
             for idx in range(len(self.task_types))
         ]
+        return [list(rows) for rows in zip(*heads)]
 
-    def teacher_predict(
-        self, sentences_ids: Sequence[Sequence[int]], old_types: Sequence[str]
-    ) -> list[list[np.ndarray]]:
-        """Per sentence, each existing head's softmax rows (detached)."""
-        if not old_types:
-            return [[] for _ in sentences_ids]
-        return self._by_length(
-            sentences_ids, lambda batch: [list(rows) for rows in zip(*self._head_probs(batch))]
-        )
-
-    def _decode_equal(self, batch_ids: Sequence[Sequence[int]]) -> list:
+    def _decode(self, head_rows: Sequence[np.ndarray]) -> list:
         tag_lists = [head_tag_list(types) for types in self.task_types]
-        return [
-            _spans_from_tags(*combine_heads(list(zip(tag_lists, rows))))
-            for rows in zip(*self._head_probs(batch_ids))
-        ]
+        return _spans_from_tags(*combine_heads(list(zip(tag_lists, head_rows))))
 
 
 class ExtendNerTagger(EncoderModel):
@@ -258,35 +242,26 @@ class ExtendNerTagger(EncoderModel):
     2*|new types| outputs per task, keeping old tag indices as a prefix."""
 
     def __init__(self, encoder: TransformerEncoder, pad_constant: float = DEFAULT_PAD_CONSTANT):
-        self.encoder = encoder
+        super().__init__(encoder)
         self.pad_constant = pad_constant
-        self.types: tuple[str, ...] = ()
         d = encoder.config.d_model
         self.weight = nc.parameter(np.zeros((d, 1)))
         self.bias = nc.parameter(np.zeros(1))
-        self._initialized = False
 
     @property
     def tag_list(self) -> list[str]:
         return head_tag_list(self.types)
 
-    def grow(self, new_types: Sequence[str], rng: np.random.Generator) -> None:
-        """Widen the head; existing output columns stay bit-identical."""
-        dup = set(new_types) & set(self.types)
-        if dup:
-            raise ValueError(f"entity types already registered: {sorted(dup)}")
+    def _add_heads(self, new_types: tuple[str, ...], rng: np.random.Generator) -> None:
+        """Widen the head; existing output columns stay bit-identical.
+        The first growth also initializes the O column."""
         d = self.encoder.config.d_model
         added = 2 * len(new_types)
-        if not self._initialized:
-            # first growth also initializes the O column
-            fresh_w = fan_in_uniform(rng, (d, 1 + added))
-            new_w, new_b = fresh_w, np.zeros(1 + added)
-            self._initialized = True
+        if not self.types:
+            new_w, new_b = fan_in_uniform(rng, (d, 1 + added)), np.zeros(1 + added)
         else:
-            fresh_w = fan_in_uniform(rng, (d, added))
-            new_w = np.concatenate([self.weight.data, fresh_w], axis=1)
+            new_w = np.concatenate([self.weight.data, fan_in_uniform(rng, (d, added))], axis=1)
             new_b = np.concatenate([self.bias.data, np.zeros(added)])
-        self.types = self.types + tuple(new_types)
         self.weight = nc.parameter(new_w)
         self.bias = nc.parameter(new_b)
 
@@ -307,43 +282,35 @@ class ExtendNerTagger(EncoderModel):
         train: bool,
         rng: np.random.Generator | None,
     ) -> nc.Tensor:
-        """Mean over the batch of each sentence's loss: tokens whose gold
-        is a current-task entity tag take cross entropy with the gold;
-        every other token takes KL against the teacher's padded
-        distribution when a teacher exists, else cross entropy with its O
-        gold."""
-        rows, real, n, lengths = _flat_rows(self.encoder, batch_ids, train, rng)
-        logits = self._logits(rows)
+        """Mean over the batch of each sentence's loss, as one weighted
+        cross entropy over per-token targets: alpha * CE with the gold on
+        tokens whose gold is a current entity tag (on every token when no
+        teacher exists), beta * KL against the teacher's padded row on the
+        others (CE plus the row's constant negative entropy)."""
+        hidden, lengths = self._encode(batch_ids, train, rng)
+        rows, real, n = _flat_rows(hidden, lengths)
         width = len(self.tag_list)
-        gold_ids, entity = _gold_rows(batch_gold, current_types, self.tag_list, n, lengths)
-        if distilled is None:
-            loss = nc.mul(nc.cross_entropy_rows(logits, gold_ids, real), alpha)
-        else:
+        targets, entity = _gold_rows(batch_gold, current_types, self.tag_list, n, lengths)
+        kd = np.zeros_like(real)
+        if distilled is not None:
+            kd = real * (1.0 - entity)
             padded = [pad_distilled_distribution(d, width, self.pad_constant) for d in distilled]
-            ref = _reference_rows(padded, width, n, lengths)
-            ce = nc.cross_entropy_rows(logits, gold_ids, real * entity)
-            kl = nc.kl_div_rows(logits, ref, real * (1.0 - entity))
-            loss = nc.mul(ce, alpha) + nc.mul(kl, beta)
+            taught = kd > 0.0
+            targets[taught] = _reference_rows(padded, width, n, lengths)[taught]
+        loss = nc.softmax_cross_entropy(
+            self._logits(rows), targets, alpha * (real - kd) + beta * kd
+        ) + beta * (kd * _neg_entropy(targets)).sum()
         return nc.mul(loss, 1.0 / len(lengths))
 
-    def _probs(self, batch_ids: Sequence[Sequence[int]]) -> np.ndarray:
-        """(B, n, width) softmax rows of an equal-length batch."""
-        return nc.softmax(self._logits(self.encoder.encode(batch_ids)), axis=-1).data
+    def _probs(self, batch_ids: Sequence[Sequence[int]], types: Sequence[str]) -> np.ndarray:
+        """(B, n, width) softmax rows of an equal-length batch over the
+        whole tag set, which covers ``types``."""
+        hidden, _ = self._encode(batch_ids)
+        return nc.softmax(self._logits(hidden), axis=-1).data
 
-    def teacher_predict(
-        self, sentences_ids: Sequence[Sequence[int]], old_types: Sequence[str]
-    ) -> list[np.ndarray]:
-        """Softmax rows over the current (pre-extension) tag set."""
-        if not old_types:
-            return [np.zeros((len(ids), 0)) for ids in sentences_ids]
-        return self._by_length(sentences_ids, lambda batch: list(self._probs(batch)))
-
-    def _decode_equal(self, batch_ids: Sequence[Sequence[int]]) -> list:
+    def _decode(self, probs: np.ndarray) -> list:
         tag_list = self.tag_list
-        out = []
-        for probs in self._probs(batch_ids):
-            ids = probs.argmax(axis=1)
-            tags = [tag_list[i] for i in ids]
-            scores = [float(probs[pos, i]) for pos, i in enumerate(ids)]
-            out.append(_spans_from_tags(tags, scores))
-        return out
+        ids = probs.argmax(axis=1)
+        tags = [tag_list[i] for i in ids]
+        scores = [float(probs[pos, i]) for pos, i in enumerate(ids)]
+        return _spans_from_tags(tags, scores)

@@ -232,6 +232,10 @@ class ToyCorpusSpec:
     sentence_count: int
     nesting: float = 0.0
 
+    def __post_init__(self):
+        if not 0.0 <= self.nesting <= 1.0:
+            raise ValueError(f"nesting probability must be in [0, 1], got {self.nesting}")
+
 
 _LEX = {
     "PER": [
@@ -398,9 +402,9 @@ class TaskSequence:
     def __post_init__(self):
         seen: set[str] = set()
         for task in self.tasks:
-            dup = seen & set(task.types)
+            dup = seen & set(task.types) | {t for t in task.types if task.types.count(t) > 1}
             if dup:
-                raise ValueError(f"entity types repeat across tasks: {sorted(dup)}")
+                raise ValueError(f"entity types repeat within or across tasks: {sorted(dup)}")
             seen |= set(task.types)
 
     def __len__(self) -> int:
@@ -489,6 +493,8 @@ def permutations(
     if kind == "toy":
         if corpus is None:
             raise ValueError("toy permutations need a corpus for the inventory")
+        if not 1 <= n_tasks <= len(corpus.inventory):
+            raise ValueError(f"task count must be in [1, {len(corpus.inventory)}], got {n_tasks}")
         rng = np.random.default_rng([seed, 13])
         out = []
         for i in range(1, count + 1):
@@ -682,16 +688,36 @@ def save_benchmark(bench: SynthesizedBenchmark, out_dir) -> None:
     )
 
 
+def read_manifest(path: Path, required: Sequence[str]) -> dict:
+    """A JSON-object manifest holding every required key; a file that
+    cannot be read or parsed, or lacks a key, is a CorpusError naming it."""
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as e:
+        raise CorpusError(f"{path}: unreadable manifest: {e}") from e
+    if not isinstance(manifest, dict):
+        raise CorpusError(f"{path}: manifest is not a JSON object")
+    missing = [key for key in required if key not in manifest]
+    if missing:
+        raise CorpusError(f"{path}: manifest lacks {missing}")
+    return manifest
+
+
 def load_benchmark(path) -> SynthesizedBenchmark:
     root = Path(path)
     manifest_path = root / "benchmark.json"
     if not manifest_path.exists():
         raise CorpusError(f"{root}: not a benchmark directory (no benchmark.json)")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    sequence = TaskSequence(
-        tuple(TaskSpec(t["name"], tuple(t["types"])) for t in manifest["tasks"]),
-        permutation=manifest["permutation"],
+    manifest = read_manifest(
+        manifest_path, ("kind", "setup", "seed", "permutation", "tasks", "inventory", "grouping")
     )
+    try:
+        sequence = TaskSequence(
+            tuple(TaskSpec(t["name"], tuple(t["types"])) for t in manifest["tasks"]),
+            permutation=manifest["permutation"],
+        )
+    except (KeyError, TypeError, ValueError) as e:
+        raise CorpusError(f"{manifest_path}: bad task list: {e!r}") from e
     inventory = tuple(manifest["inventory"])
     grouping = dict(manifest["grouping"])
     tasks = []

@@ -219,8 +219,11 @@ def _load_train_root(root: Path) -> dict:
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise CorpusError(f"{root}: not a train output directory (no manifest.json)")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if manifest.get("command") != "train":
+    manifest = cldata.read_manifest(manifest_path, (
+        "command", "config", "mode", "seeds", "benchmark_kind", "benchmark_setup",
+        "benchmark_steps", "benchmark_permutation",
+    ))
+    if manifest["command"] != "train":
         raise CorpusError(f"{root}: manifest is not from a train command")
     rows = []
     mode = manifest["mode"]

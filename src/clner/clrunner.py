@@ -576,16 +576,8 @@ def write_run_records(out_dir, result: RunResult) -> None:
 
 
 def _curve_types(result: RunResult) -> list[str]:
-    if result.kind == "fewnerd":
-        coarse = []
-        for record in result.steps:
-            for t in sorted(record.eval.scores):
-                if "-" not in t and t not in coarse:
-                    coarse.append(t)
-        return sorted(coarse)
-    out: list[str] = []
-    for record in result.steps:
-        for t in sorted(record.eval.scores):
-            if t not in out:
-                out.append(t)
-    return sorted(out)
+    """Every scored type of every step, sorted; Few-NERD curves keep only
+    the coarse groups (fine types are named "coarse-fine")."""
+    return sorted(
+        {t for r in result.steps for t in r.eval.scores if result.kind != "fewnerd" or "-" not in t}
+    )

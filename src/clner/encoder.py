@@ -183,15 +183,38 @@ class TransformerEncoder:
 
 
 class EncoderModel:
-    """What the span model and the taggers share: an encoder plus the
-    heads that ``head_named`` lists, checkpoints written from
+    """What the span model and the taggers share: an encoder, the
+    registered ``types`` and their growth, checkpoints written from
     ``state_arrays`` and restored by ``load_arrays``, the one-sentence
-    loss as a batch of one through the subclass's ``batch_loss``, and
-    graph-free inference with one forward pass per sentence length,
-    decoded by the subclass's ``_decode_equal`` (an equal-length batch
-    -> each sentence's (start, end, type, score) spans)."""
+    loss as a batch of one, and graph-free inference with one forward
+    pass per sentence length. A subclass defines only its heads
+    (``_add_heads``, ``head_named``), its ``batch_loss``, ``_probs`` (an
+    equal-length batch -> each sentence's probabilities over the given
+    types, which are also the teacher's labels) and ``_decode`` (one
+    sentence's probabilities -> its (start, end, type, score) spans)."""
 
-    encoder: TransformerEncoder
+    def __init__(self, encoder: TransformerEncoder):
+        self.encoder = encoder
+        self.types: tuple[str, ...] = ()
+
+    def grow(self, new_types: Sequence[str], rng: np.random.Generator) -> None:
+        """Register new entity types and add their heads; existing head
+        parameters stay bit-identical. No types is a no-op."""
+        types = self.types + tuple(new_types)
+        dup = {t for t in types if types.count(t) > 1}
+        if dup:
+            raise ValueError(f"entity types repeat or are already registered: {sorted(dup)}")
+        if new_types:
+            self._add_heads(tuple(new_types), rng)
+            self.types = types
+
+    def _encode(
+        self, batch_ids: Sequence[Sequence[int]], train: bool = False, rng=None
+    ) -> tuple[nc.Tensor, np.ndarray]:
+        """Right-pad and encode a batch: (B, n, d) vectors and the (B,)
+        true lengths."""
+        ids, lengths = pad_batch(batch_ids)
+        return self.encoder.encode(ids, train=train, rng=rng, lengths=lengths), lengths
 
     def _by_length(self, sentences_ids: Sequence[Sequence[int]], run) -> list:
         """``run`` on each equal-length group of the sentences without a
@@ -205,11 +228,21 @@ class EncoderModel:
 
     def predict_many(self, sentences_ids: Sequence[Sequence[int]]) -> list:
         """Decoded spans per sentence; equal to ``predict`` on each."""
-        return self._by_length(sentences_ids, self._decode_equal)
+        return self._by_length(
+            sentences_ids, lambda batch: [self._decode(p) for p in self._probs(batch, self.types)]
+        )
 
     def predict(self, token_ids: Sequence[int]) -> list:
         """Decoded (start, end, type, score) spans of one sentence."""
         return self.predict_many([token_ids])[0]
+
+    def teacher_predict(
+        self, sentences_ids: Sequence[Sequence[int]], old_types: Sequence[str]
+    ) -> list:
+        """One-off teacher pass before growth: each sentence's
+        probabilities over the old types, fixed while the student
+        trains."""
+        return self._by_length(sentences_ids, lambda batch: self._probs(batch, old_types))
 
     def head_named(self) -> dict[str, nc.Tensor]:
         raise NotImplementedError

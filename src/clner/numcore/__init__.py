@@ -15,9 +15,7 @@ from clner.numcore.tensor import (
     backward,
     bce_with_logits,
     concat,
-    cross_entropy_rows,
     gather_rows,
-    kl_div_rows,
     layer_norm,
     matmul,
     mul,
@@ -27,6 +25,7 @@ from clner.numcore.tensor import (
     reshape,
     sigmoid,
     softmax,
+    softmax_cross_entropy,
     sub,
     tensor,
     tensor_slice,
@@ -44,9 +43,7 @@ __all__ = [
     "backward",
     "bce_with_logits",
     "concat",
-    "cross_entropy_rows",
     "gather_rows",
-    "kl_div_rows",
     "layer_norm",
     "load_checkpoint",
     "matmul",
@@ -58,6 +55,7 @@ __all__ = [
     "save_checkpoint",
     "sigmoid",
     "softmax",
+    "softmax_cross_entropy",
     "sub",
     "tensor",
     "tensor_slice",

@@ -434,58 +434,31 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def cross_entropy_rows(
-    logits: Tensor, gold_ids: Sequence[int], row_mask: np.ndarray | None = None
-) -> Tensor:
-    """Sum over masked rows of -log softmax(row)[gold]."""
+def softmax_cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
+    """Weighted sum over rows of the cross entropy -sum_c t_c log
+    softmax(z)_c against a soft target row t: a one-hot gold row gives
+    the usual cross entropy, a teacher distribution the KL divergence
+    minus the teacher's constant entropy. ``targets`` (N, C) must be
+    distributions (non-negative, each row summing to 1), which the
+    gradient weight * (softmax(z) - t) relies on; ``weights`` (N,) are
+    non-negative per-row factors (0 drops a row). Both are constants."""
     logits = _lift(logits)
     if logits.data.ndim != 2:
-        raise ShapeError(f"cross_entropy_rows: expected a matrix, got {logits.shape}")
-    ids = np.asarray(gold_ids, dtype=np.int64)
-    n, width = logits.shape
-    if ids.shape != (n,):
-        raise ShapeError(f"cross_entropy_rows: gold shape {ids.shape} vs {n} rows")
-    if ids.size and (ids.min() < 0 or ids.max() >= width):
-        raise ShapeError(f"cross_entropy_rows: gold id out of range for width {width}")
-    m = np.ones(n) if row_mask is None else np.asarray(row_mask, dtype=np.float64)
-    if m.shape != (n,):
-        raise ShapeError(f"cross_entropy_rows: mask shape {m.shape} vs {n} rows")
+        raise ShapeError(f"softmax_cross_entropy: expected a matrix, got {logits.shape}")
+    t = np.asarray(targets, dtype=np.float64)
+    if t.shape != logits.shape:
+        raise ShapeError(f"softmax_cross_entropy: targets shape {t.shape} vs logits {logits.shape}")
+    if np.any(t < 0.0):
+        raise ValueError("softmax_cross_entropy: target rows must be non-negative")
+    if not np.allclose(t.sum(axis=-1), 1.0, atol=1e-8):
+        raise ValueError("softmax_cross_entropy: target rows must each sum to 1")
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != logits.shape[:1]:
+        raise ShapeError(f"softmax_cross_entropy: weights shape {w.shape} vs {logits.shape[0]} rows")
     ls = _log_softmax(logits.data)
-    data = np.asarray(-(m * ls[np.arange(n), ids]).sum())
+    data = np.asarray(-(w * (t * ls).sum(axis=-1)).sum())
 
     def backprop(grad):
-        sm = np.exp(ls)
-        sm[np.arange(n), ids] -= 1.0
-        _accumulate(logits, grad * m[:, None] * sm)
-
-    return _make(data, (logits,), backprop)
-
-
-def kl_div_rows(
-    logits: Tensor, ref_rows: np.ndarray, row_mask: np.ndarray | None = None
-) -> Tensor:
-    """Sum over masked rows of KL(ref_row || softmax(row)).
-
-    Each reference row must be a distribution (non-negative, sums to 1);
-    the gradient formula softmax - ref relies on that normalization.
-    """
-    logits = _lift(logits)
-    p = np.asarray(ref_rows, dtype=np.float64)
-    if p.shape != logits.shape:
-        raise ShapeError(f"kl_div_rows: ref shape {p.shape} vs logits {logits.shape}")
-    if np.any(p < 0.0):
-        raise ValueError("kl_div_rows: reference rows must be non-negative")
-    if not np.allclose(p.sum(axis=-1), 1.0, atol=1e-8):
-        raise ValueError("kl_div_rows: reference rows must each sum to 1")
-    n = logits.shape[0]
-    m = np.ones(n) if row_mask is None else np.asarray(row_mask, dtype=np.float64)
-    if m.shape != (n,):
-        raise ShapeError(f"kl_div_rows: mask shape {m.shape} vs {n} rows")
-    ls = _log_softmax(logits.data)
-    plogp = np.where(p > 0.0, p * np.log(np.maximum(p, 1e-300)), 0.0)
-    data = np.asarray((m * (plogp - p * ls).sum(axis=-1)).sum())
-
-    def backprop(grad):
-        _accumulate(logits, grad * m[:, None] * (np.exp(ls) - p))
+        _accumulate(logits, grad * w[:, None] * (np.exp(ls) - t))
 
     return _make(data, (logits,), backprop)

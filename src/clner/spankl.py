@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from clner import numcore as nc
-from clner.encoder import EncoderModel, TransformerEncoder, fan_in_uniform, length_mask, pad_batch
+from clner.encoder import EncoderModel, TransformerEncoder, fan_in_uniform, length_mask
 
 DEFAULT_SPAN_DIM = 50
 DEFAULT_THRESHOLD = 0.5
@@ -207,10 +207,9 @@ class SpanKLModel(EncoderModel):
         d_span: int = DEFAULT_SPAN_DIM,
         threshold: float = DEFAULT_THRESHOLD,
     ):
-        self.encoder = encoder
+        super().__init__(encoder)
         self.d_span = d_span
         self.threshold = threshold
-        self.types: tuple[str, ...] = ()
         d = encoder.config.d_model
         self.start_w = nc.parameter(np.zeros((0, d, d_span)))
         self.start_b = nc.parameter(np.zeros((0, 1, d_span)))
@@ -218,14 +217,9 @@ class SpanKLModel(EncoderModel):
         self.end_b = nc.parameter(np.zeros((0, 1, d_span)))
 
     # -- structure ---------------------------------------------------------
-    def grow(self, new_types: Sequence[str], rng: np.random.Generator) -> None:
-        """Append one fresh head per new type; existing heads untouched.
-        Each type draws its start then its end projection."""
-        dup = set(new_types) & set(self.types)
-        if dup:
-            raise ValueError(f"entity types already registered: {sorted(dup)}")
-        if not new_types:
-            return
+    def _add_heads(self, new_types: tuple[str, ...], rng: np.random.Generator) -> None:
+        """Append one fresh head per new type; each type draws its start
+        then its end projection."""
         d = self.encoder.config.d_model
         fresh = [
             [fan_in_uniform(rng, (d, self.d_span)) for _ in ("start", "end")] for _ in new_types
@@ -235,7 +229,6 @@ class SpanKLModel(EncoderModel):
         self.start_b = nc.parameter(np.concatenate([self.start_b.data, zeros]))
         self.end_w = nc.parameter(np.concatenate([self.end_w.data, [e for _, e in fresh]]))
         self.end_b = nc.parameter(np.concatenate([self.end_b.data, zeros]))
-        self.types = self.types + tuple(new_types)
 
     def head_named(self) -> dict[str, nc.Tensor]:
         return {f"heads.{part}": getattr(self, part) for part in _HEAD_PARTS}
@@ -264,17 +257,6 @@ class SpanKLModel(EncoderModel):
         super().load_arrays(stacked)
 
     # -- forward paths -----------------------------------------------------
-    def _heads(self, types: Iterable[str] | None) -> tuple[list[str], list[nc.Tensor]]:
-        """The wanted types and their stacked head parameters."""
-        params = [getattr(self, part) for part in _HEAD_PARTS]
-        if types is None:
-            return list(self.types), params
-        wanted = list(types)
-        rows = [self.types.index(t) for t in wanted]
-        if rows == list(range(len(self.types))):
-            return wanted, params
-        return wanted, [p[np.array(rows, dtype=np.int64)] for p in params]
-
     def _scores(
         self,
         batch_ids: Sequence[Sequence[int]],
@@ -282,11 +264,14 @@ class SpanKLModel(EncoderModel):
         train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> tuple[list[str], nc.Tensor, np.ndarray]:
-        """Score a padded batch: the wanted types, their (B, T, n, n)
-        logits and the (B,) sentence lengths."""
-        ids, lengths = pad_batch(batch_ids)
-        wanted, heads = self._heads(types)
-        hidden = self.encoder.encode(ids, train=train, rng=rng, lengths=lengths)
+        """Score a padded batch: the wanted types (default: all), their
+        (B, T, n, n) logits and the (B,) sentence lengths."""
+        wanted = list(self.types if types is None else types)
+        rows = [self.types.index(t) for t in wanted]
+        heads = [getattr(self, part) for part in _HEAD_PARTS]
+        if rows != list(range(len(self.types))):
+            heads = [p[np.array(rows, dtype=np.int64)] for p in heads]
+        hidden, lengths = self._encode(batch_ids, train, rng)
         return wanted, span_logits(hidden, *heads), lengths
 
     def logits(
@@ -301,8 +286,8 @@ class SpanKLModel(EncoderModel):
         wanted, logits, _ = self._scores([token_ids], types, train, rng)
         return {t: logits[0, k] for k, t in enumerate(wanted)}
 
-    def _labels(
-        self, batch_ids: Sequence[Sequence[int]], types: Iterable[str] | None = None
+    def _probs(
+        self, batch_ids: Sequence[Sequence[int]], types: Iterable[str]
     ) -> list[dict[str, np.ndarray]]:
         """Per sentence of an equal-length batch (no padding, so no key
         mask): each wanted type's (n, n) sigmoid probabilities."""
@@ -343,20 +328,9 @@ class SpanKLModel(EncoderModel):
         )
         return nc.mul(loss, 1.0 / len(lengths))
 
-    def teacher_predict(
-        self, sentences_ids: Sequence[Sequence[int]], old_types: Sequence[str]
-    ) -> list[dict[str, np.ndarray]]:
-        """One-off teacher pass: sigmoid probabilities of every old type
-        for every sentence, one graph-free pass per sentence length. The
-        arrays stay fixed while the student trains. Empty old_types
-        yields empty label sets."""
-        if not old_types:
-            return [{} for _ in sentences_ids]
-        return self._by_length(sentences_ids, lambda batch: self._labels(batch, old_types))
-
-    def _decode_equal(self, batch_ids: Sequence[Sequence[int]]) -> list:
+    def _decode(self, probs: Mapping[str, np.ndarray]) -> list:
         """Mutually non-overlapping spans above the threshold."""
-        return [decode_flat(labels, self.threshold) for labels in self._labels(batch_ids)]
+        return decode_flat(probs, self.threshold)
 
     def predict_nested(
         self,

@@ -88,6 +88,28 @@ def bernoulli_kl_cell(p_ref: float, p_hat: float) -> float:
     )
 
 
+def _log_softmax_rows(logits):
+    z = np.asarray(logits, dtype=np.float64)
+    shifted = z - z.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def cross_entropy_rows_oracle(logits, gold_ids, row_weights) -> float:
+    """Sum over rows of weight * -log softmax(row)[gold]."""
+    ls = _log_softmax_rows(logits)
+    return float(sum(w * -ls[r, g] for r, (g, w) in enumerate(zip(gold_ids, row_weights))))
+
+
+def kl_div_rows_oracle(logits, ref_rows, row_weights) -> float:
+    """Sum over rows of weight * KL(ref_row || softmax(row)), with
+    0 log 0 = 0."""
+    ls = _log_softmax_rows(logits)
+    total_kl = 0.0
+    for row, (p, w) in enumerate(zip(np.asarray(ref_rows, dtype=np.float64), row_weights)):
+        total_kl += w * sum(pc * (np.log(pc) - ls[row, c]) for c, pc in enumerate(p) if pc > 0.0)
+    return float(total_kl)
+
+
 def two_branch_sigmoid(x):
     """Sigmoid evaluated per sign on the gathered elements:
     1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) for the rest."""

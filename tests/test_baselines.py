@@ -20,6 +20,7 @@ from clner.baselines import (
     tag_decode,
 )
 from clner.encoder import EncoderConfig, TransformerEncoder
+from helpers import cross_entropy_rows_oracle, kl_div_rows_oracle
 
 
 def small_encoder(seed=0):
@@ -249,7 +250,7 @@ class TestAddNer:
         model.grow(["PER", "LOC"], np.random.default_rng(0))
         model.grow(["ORG"], np.random.default_rng(1))
         assert [w.shape[1] for w in model.weights] == [5, 3]
-        assert model.registered_types() == ("PER", "LOC", "ORG")
+        assert model.types == ("PER", "LOC", "ORG")
 
     def test_duplicate_across_tasks_rejected(self):
         model = AddNerTagger(small_encoder())
@@ -312,3 +313,55 @@ class TestGradientsFlow:
         loss = model.sentence_loss(ids, [], ["ORG"], teacher, 1.0, 1.0, False, None)
         loss.backward()
         assert np.any(model.weights[0].grad != 0)
+
+
+class TestLossEqualsRowOracle:
+    """Each tagger's batch loss is (1/B) * sum over sentences of
+    alpha * CE + beta * KL, computed row by row from the deleted ops'
+    formulas on each sentence's own logits."""
+
+    BATCH = [[3, 7, 9], [4, 6, 2, 8, 5], [1, 11]]
+    GOLD = [[(2, 3, "ORG")], [(1, 1, "LOC"), (3, 5, "ORG")], []]
+    ALPHA, BETA = 0.7, 1.3
+
+    @pytest.mark.parametrize("with_teacher", [False, True])
+    def test_extendner(self, with_teacher):
+        model = ExtendNerTagger(small_encoder(12))
+        model.grow(["PER"], np.random.default_rng(0))
+        teacher = model.teacher_predict(self.BATCH, ["PER"]) if with_teacher else None
+        model.grow(["ORG", "LOC"], np.random.default_rng(1))
+        got = model.batch_loss(
+            self.BATCH, self.GOLD, ["ORG", "LOC"], teacher, self.ALPHA, self.BETA, False, None
+        ).item()
+        tags = model.tag_list
+        want = 0.0
+        for b, (ids, spans) in enumerate(zip(self.BATCH, self.GOLD)):
+            logits = model._logits(model.encoder.encode(ids)).data
+            gold = [tags.index(t) for t in iob_encode(spans, ["ORG", "LOC"], len(ids))]
+            ce = np.array([1.0 if g or teacher is None else 0.0 for g in gold])
+            want += self.ALPHA * cross_entropy_rows_oracle(logits, gold, ce)
+            if teacher is not None:
+                ref = pad_distilled_distribution(teacher[b], len(tags))
+                want += self.BETA * kl_div_rows_oracle(logits, ref, 1.0 - ce)
+        assert abs(got - want / len(self.BATCH)) <= 1e-12
+
+    @pytest.mark.parametrize("with_teacher", [False, True])
+    def test_addner(self, with_teacher):
+        model = AddNerTagger(small_encoder(13))
+        model.grow(["PER"], np.random.default_rng(0))
+        teacher = model.teacher_predict(self.BATCH, ["PER"]) if with_teacher else None
+        model.grow(["ORG", "LOC"], np.random.default_rng(1))
+        got = model.batch_loss(
+            self.BATCH, self.GOLD, ["ORG", "LOC"], teacher, self.ALPHA, self.BETA, False, None
+        ).item()
+        tags = head_tag_list(["ORG", "LOC"])
+        want = 0.0
+        for b, (ids, spans) in enumerate(zip(self.BATCH, self.GOLD)):
+            hidden = model.encoder.encode(ids)
+            new_logits = model._head_logits(hidden, 1).data
+            gold = [tags.index(t) for t in iob_encode(spans, ["ORG", "LOC"], len(ids))]
+            want += self.ALPHA * cross_entropy_rows_oracle(new_logits, gold, np.ones(len(ids)))
+            if teacher is not None:
+                old_logits = model._head_logits(hidden, 0).data
+                want += self.BETA * kl_div_rows_oracle(old_logits, teacher[b][0], np.ones(len(ids)))
+        assert abs(got - want / len(self.BATCH)) <= 1e-12

@@ -212,3 +212,17 @@ class TestLengthBucketedInference:
                 assert np.array_equal(a, b)
         for name, p in model.named_parameters().items():
             np.testing.assert_array_equal(p.grad, grads[name], err_msg=name)
+
+
+@pytest.mark.parametrize("kind", ["spankl", "extendner", "addner"])
+def test_growth_with_no_types_is_a_no_op_and_repeats_are_rejected(kind):
+    model, _ = build(kind, False)
+    before = {name: arr.copy() for name, arr in model.state_arrays().items()}
+    model.grow([], np.random.default_rng(0))
+    after = model.state_arrays()
+    assert before.keys() == after.keys()
+    assert all(np.array_equal(before[name], after[name]) for name in before)
+    for repeat in (["MISC", "MISC"], ["PER"]):
+        with pytest.raises(ValueError, match="repeat or are already registered"):
+            model.grow(repeat, np.random.default_rng(0))
+    assert model.types == ("LOC", "PER", "ORG")

@@ -221,6 +221,10 @@ class TestPermutations:
                 (TaskSpec("a", ("PER",)), TaskSpec("b", ("PER", "ORG"))), permutation=1
             )
 
+    def test_type_repeated_within_a_task_rejected(self):
+        with pytest.raises(ValueError, match=r"repeat within or across tasks: \['ORG'\]"):
+            TaskSequence((TaskSpec("a", ("ORG", "PER", "ORG")),), permutation=1)
+
 
 class TestEraseAnnotations:
     def test_identity_when_all_allowed(self):

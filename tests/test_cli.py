@@ -87,6 +87,37 @@ class TestSynthesize:
         )
         assert code in (EXIT_USAGE, EXIT_DATA)
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--tasks", "0", "task count must be in [1, 6], got 0"),
+            ("--tasks", "-1", "task count must be in [1, 6], got -1"),
+            ("--tasks", "7", "task count must be in [1, 6], got 7"),
+            ("--nesting", "-0.1", "nesting probability must be in [0, 1]"),
+            ("--nesting", "1.5", "nesting probability must be in [0, 1]"),
+        ],
+    )
+    def test_bad_toy_size_rejected_before_any_output(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "bench"
+        code = main(
+            ["synthesize", "--kind", "toy", "--setup", "split-all", "--sentences", "40",
+             flag, value, "--out", str(out)]
+        )
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def truncate_or_drop(path: Path, damage: str, key: str) -> None:
+    """Cut a JSON manifest off mid-file, or delete one of its keys."""
+    text = path.read_text(encoding="utf-8")
+    if damage == "truncated":
+        path.write_text(text[: len(text) // 2], encoding="utf-8")
+    else:
+        manifest = json.loads(text)
+        del manifest[key]
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+
 
 class TestTrain:
     def test_run_directory_structure(self, tmp_path):
@@ -238,6 +269,33 @@ class TestTrain:
         )
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("damage", ["truncated", "missing-key"])
+    def test_malformed_benchmark_manifest_is_data_error(self, tmp_path, capsys, damage):
+        bench = synth(tmp_path)
+        truncate_or_drop(bench / "benchmark.json", damage, "tasks")
+        out = tmp_path / "run"
+        code = main(["train", "--benchmark", str(bench), "--out", str(out)] + TRAIN_FAST)
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(bench / "benchmark.json") in err
+        assert ("'tasks'" in err) == (damage == "missing-key")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("into_task", [0, 1])
+    def test_repeated_type_in_benchmark_manifest_is_data_error(self, tmp_path, capsys, into_task):
+        """A type listed twice, within one task or across two, is a data
+        error before any output."""
+        bench = synth(tmp_path)
+        manifest = json.loads((bench / "benchmark.json").read_text())
+        repeated = manifest["tasks"][0]["types"][0]
+        manifest["tasks"][into_task]["types"].append(repeated)
+        (bench / "benchmark.json").write_text(json.dumps(manifest))
+        out = tmp_path / "run"
+        code = main(["train", "--benchmark", str(bench), "--out", str(out)] + TRAIN_FAST)
+        assert code == EXIT_DATA
+        assert f"repeat within or across tasks: ['{repeated}']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overlong_sentence_fails_before_training(self, tmp_path, capsys):
         bench = synth(tmp_path, **{"--tasks": 3})
         train_file = bench / "task_03" / "train.txt"
@@ -314,6 +372,20 @@ class TestReport:
         ) == EXIT_OK
         code = main(["report", str(cl_out), str(out), "--out", str(tmp_path / "repx")])
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("damage", ["truncated", "missing-key"])
+    def test_malformed_train_manifest_is_data_error(self, trained, tmp_path, capsys, damage):
+        _, cl_out, _ = trained
+        run = tmp_path / "run"
+        (run / "run_s1").mkdir(parents=True)
+        (run / "manifest.json").write_bytes((cl_out / "manifest.json").read_bytes())
+        truncate_or_drop(run / "manifest.json", damage, "seeds")
+        code = main(["report", str(run), "--out", str(tmp_path / "rep")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(run / "manifest.json") in err
+        assert ("'seeds'" in err) == (damage == "missing-key")
+        assert not (tmp_path / "rep").exists()
 
     def test_report_on_non_run_dir_is_data_error(self, tmp_path):
         code = main(["report", str(tmp_path), "--out", str(tmp_path / "rep")])

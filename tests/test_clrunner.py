@@ -25,6 +25,7 @@ from clner.clrunner import (
     run_cl,
     run_noncl,
 )
+from clner.metrics import Counts, StepEval, TypeScore
 from clner.spankl import SpanKLModel
 
 
@@ -293,3 +294,40 @@ class TestSchedulesAndFreezing:
         head_fresh = build_model(cfg, len(Vocab(bench.vocab_tokens)), stream_rng(cfg.seed, 0, 1))
         head_fresh.grow(bench.sequence.tasks[0].types, stream_rng(cfg.seed, 1, 1))
         assert not np.array_equal(trained[head_key], head_fresh.state_arrays()[head_key])
+
+
+class TestRunRecords:
+    @staticmethod
+    def step(step, found):
+        """A StepEval whose type ``t`` scored ``found[t]`` true positives of 4."""
+        counts = {t: Counts(tp, 0, 4 - tp) for t, tp in found.items()}
+        scores = {t: TypeScore.from_counts(c) for t, c in counts.items()}
+        return StepEval(step, counts, scores, 0.5)
+
+    @pytest.mark.parametrize(
+        "kind, steps, want",
+        [
+            (
+                "toy",
+                [{"PER": 2, "LOC": 4}, {"PER": 1, "ORG": 3, "LOC": 0}],
+                ["1,LOC,1.0", "1,PER,0.6666666666666666", "1,__macro__,0.5",
+                 "2,LOC,0.0", "2,ORG,0.8571428571428571", "2,PER,0.4", "2,__macro__,0.5"],
+            ),
+            (
+                "fewnerd",
+                [{"person-actor": 2, "person": 2}, {"person-actor": 4, "location-GPE": 1,
+                                                    "person": 4, "location": 1}],
+                ["1,person,0.6666666666666666", "1,__macro__,0.5",
+                 "2,location,0.4", "2,person,1.0", "2,__macro__,0.5"],
+            ),
+        ],
+    )
+    def test_curves_rows_per_kind(self, tmp_path, kind, steps, want):
+        """Toy curves list every scored type; Few-NERD curves list only the
+        coarse groups, not the "coarse-fine" types."""
+        result = clrunner.RunResult("cl", RunConfig(), "split-all", kind, 1)
+        for step, found in enumerate(steps, start=1):
+            result.steps.append(clrunner.StepRecord(step, [0.5], 1, self.step(step, found)))
+        clrunner.write_run_records(tmp_path, result)
+        lines = (tmp_path / "curves_cl.csv").read_text(encoding="utf-8").splitlines()
+        assert lines == ["step,type,f1"] + want

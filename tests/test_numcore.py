@@ -13,7 +13,9 @@ from helpers import (
     PerParameterAdamW,
     assert_gradients_match,
     bce_cell,
+    cross_entropy_rows_oracle,
     finite_difference_grads,
+    kl_div_rows_oracle,
     max_rel_err,
     total,
     two_branch_sigmoid,
@@ -193,17 +195,56 @@ class TestGradientsMatchFiniteDifferences:
         assert abs(nc.bce_with_logits(z, targets, weights).item() - want) <= 1e-12
 
     def test_cross_entropy_rows(self):
+        # one-hot gold rows through the fused op, one zero-weight row
         z = self.param(5, 3)
         gold = [0, 2, 1, 1, 0]
+        targets = np.eye(3)[gold]
         mask = np.array([1.0, 0.0, 1.0, 1.0, 1.0])
-        assert_gradients_match(lambda: nc.cross_entropy_rows(z, gold, mask), [z])
+        assert_gradients_match(lambda: nc.softmax_cross_entropy(z, targets, mask), [z])
+        got = nc.softmax_cross_entropy(z, targets, mask).item()
+        assert abs(got - cross_entropy_rows_oracle(z.data, gold, mask)) <= 1e-12
 
     def test_kl_div_rows(self):
+        # soft teacher rows through the fused op, one zero-weight row; the
+        # op is the cross entropy, i.e. KL plus the rows' entropy
         z = self.param(4, 3)
         raw = self.rng.uniform(0.1, 1.0, size=(4, 3))
         ref = raw / raw.sum(axis=1, keepdims=True)
         mask = np.array([1.0, 1.0, 0.0, 1.0])
-        assert_gradients_match(lambda: nc.kl_div_rows(z, ref, mask), [z])
+        assert_gradients_match(lambda: nc.softmax_cross_entropy(z, ref, mask), [z])
+        entropy = -(mask * (ref * np.log(ref)).sum(axis=1)).sum()
+        got = nc.softmax_cross_entropy(z, ref, mask).item()
+        assert abs(got - (kl_div_rows_oracle(z.data, ref, mask) + entropy)) <= 1e-12
+
+    def test_softmax_cross_entropy(self):
+        # rows 0-2 one-hot gold, rows 3-5 soft (teacher) rows; weights
+        # fractional, zero and above one
+        z = self.param(6, 3)
+        raw = self.rng.uniform(0.1, 1.0, size=(3, 3))
+        targets = np.concatenate([np.eye(3)[[0, 2, 1]], raw / raw.sum(axis=1, keepdims=True)])
+        weights = np.array([0.7, 0.0, 1.0, 1.3, 0.25, 0.0])
+        assert_gradients_match(lambda: nc.softmax_cross_entropy(z, targets, weights), [z])
+        hard, soft = slice(0, 3), slice(3, 6)
+        want = cross_entropy_rows_oracle(z.data[hard], [0, 2, 1], weights[hard]) + (
+            kl_div_rows_oracle(z.data[soft], targets[soft], weights[soft])
+            - (weights[soft] * (targets[soft] * np.log(targets[soft])).sum(axis=1)).sum()
+        )
+        got = nc.softmax_cross_entropy(z, targets, weights).item()
+        assert abs(got - want) <= 1e-12
+
+    def test_softmax_cross_entropy_rejects_bad_targets_and_weights(self):
+        z = self.param(2, 3)
+        good = np.array([[1.0, 0.0, 0.0], [0.2, 0.3, 0.5]])
+        with pytest.raises(ValueError, match="non-negative"):
+            nc.softmax_cross_entropy(z, np.array([[1.2, -0.2, 0.0], [0.2, 0.3, 0.5]]), np.ones(2))
+        with pytest.raises(ValueError, match="sum to 1"):
+            nc.softmax_cross_entropy(z, np.array([[1.0, 0.0, 0.0], [0.2, 0.3, 0.4]]), np.ones(2))
+        with pytest.raises(nc.ShapeError, match="targets shape"):
+            nc.softmax_cross_entropy(z, good[:, :2], np.ones(2))
+        with pytest.raises(nc.ShapeError, match="weights shape"):
+            nc.softmax_cross_entropy(z, good, np.ones(3))
+        with pytest.raises(nc.ShapeError, match="weights shape"):
+            nc.softmax_cross_entropy(z, good, np.ones((2, 3)))
 
     def test_two_layer_net(self):
         w1, b1 = self.param(5, 8), self.param(8)
@@ -259,9 +300,17 @@ class TestNoGrad:
             "gather_rows": lambda: nc.gather_rows(table, [4, 0, 4]),
             "layer_norm": lambda: nc.layer_norm(m, v, v),
             "bce_with_logits": lambda: nc.bce_with_logits(m, probs),
-            "cross_entropy_rows": lambda: nc.cross_entropy_rows(m, [0, 3, 1]),
-            "kl_div_rows": lambda: nc.kl_div_rows(m, probs),
+            "softmax_cross_entropy": lambda: nc.softmax_cross_entropy(m, probs, np.ones(3)),
         }
+
+    def test_every_op_is_covered(self):
+        """A new or renamed export is either an op (and so in ``every_op``)
+        or listed here."""
+        not_ops = {
+            "AdamW", "CheckpointError", "ShapeError", "Tensor", "backward", "load_checkpoint",
+            "no_grad", "parameter", "save_checkpoint", "tensor", "zero_grad",
+        }
+        assert set(self.every_op()) == set(nc.__all__) - not_ops
 
     def test_every_op_records_nothing_and_computes_the_same(self):
         for name, op in self.every_op().items():

@@ -50,17 +50,6 @@ def iob_encode(spans: Iterable, types: Sequence[str], n_tokens: int) -> list[str
     return encode_layer(flatten_spans(spans, types), n_tokens)
 
 
-def repair_tags(tags: Sequence[str]) -> list[str]:
-    """Turn I- tags that do not continue a same-type B-/I- run into B-."""
-    out = list(tags)
-    for pos, tag in enumerate(out):
-        if tag.startswith("I-"):
-            prev = out[pos - 1] if pos else "O"
-            if prev not in (f"B-{tag[2:]}", f"I-{tag[2:]}"):
-                out[pos] = f"B-{tag[2:]}"
-    return out
-
-
 def tag_decode(tags: Sequence[str]) -> list[Span]:
     """Contiguous B-X (I-X)* groups as (start, end, type) spans, 1-based;
     an orphan I-X opens a group as B-X would."""
@@ -74,8 +63,9 @@ def combine_heads(
 
     Per token: if every head's argmax is its own O, emit O; otherwise
     adopt the highest-probability non-O argmax across heads (ties by head
-    order, then tag order). Returns the repaired tags and the adopted
-    probability per token (1.0 where O).
+    order, then tag order). Returns the merged tags, in which an orphan
+    I-X may remain (``tag_decode`` opens a mention there), and the
+    adopted probability per token (1.0 where O).
     """
     if not head_outputs:
         raise ValueError("combine_heads needs at least one head output")
@@ -97,7 +87,7 @@ def combine_heads(
             neg_prob, head_idx, tag_id = best
             tags.append(head_outputs[head_idx][0][tag_id])
             scores.append(-neg_prob)
-    return repair_tags(tags), scores
+    return tags, scores
 
 
 def pad_distilled_distribution(

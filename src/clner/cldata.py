@@ -402,6 +402,8 @@ class TaskSequence:
     def __post_init__(self):
         seen: set[str] = set()
         for task in self.tasks:
+            if not task.types:
+                raise ValueError(f"task {task.name!r} defines no entity types")
             dup = seen & set(task.types) | {t for t in task.types if task.types.count(t) > 1}
             if dup:
                 raise ValueError(f"entity types repeat within or across tasks: {sorted(dup)}")
@@ -733,6 +735,9 @@ def load_benchmark(path) -> SynthesizedBenchmark:
                 test=parse_corpus(task_dir / "test.txt").sentences,
             )
         )
+        for split in ("train", "train_full"):
+            if not getattr(tasks[-1], split):
+                raise CorpusError(f"{task_dir / split}.txt: task {l} has no training sentences")
     vocab_tokens = (root / "vocab.txt").read_text(encoding="utf-8").splitlines()
     return SynthesizedBenchmark(
         kind=manifest["kind"],

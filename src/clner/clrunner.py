@@ -1,11 +1,11 @@
 """Continual-learning protocol orchestration.
 
-One CL run walks the task sequence: teacher predictions with the
-previous step's selected model, head growth, multi-epoch training on the
-weighted loss, dev-based epoch selection, then test evaluation over all
-types learned so far. Non-CL reference runs train from scratch at every
-step on the union of the data seen so far with annotations restored for
-every type learned so far.
+CL and non-CL runs share one step loop over the task sequence: teacher
+predictions with the previous step's selected model (CL only), head
+growth, multi-epoch training on the weighted loss, dev-based epoch
+selection, then test evaluation over all types learned so far. Non-CL
+reference runs train from scratch at every step on the union of the data
+seen so far with annotations restored for every type learned so far.
 
 All randomness flows from the run seed through fixed named streams, so a
 (seed, config, benchmark) triple reproduces bit-identical metrics. Runs
@@ -263,16 +263,16 @@ class _Trainer:
         step: int,
         train_sents: Sequence[Sentence],
         dev_sents: Sequence[Sentence],
-        current_types: Sequence[str],
-        dev_types: Sequence[str],
+        types: Sequence[str],
         distilled: Sequence | None,
     ) -> tuple[list[float], int]:
-        """Multi-epoch training with dev-based selection; the model ends
-        holding the weights of the best dev epoch (later epochs win ties).
-        Each mini-batch is one padded graph and one loss call. A frozen
-        encoder is kept out of the graph, so it gathers no gradient. A
-        non-finite loss aborts the run before its backward pass, a
-        non-finite gradient before the update."""
+        """Multi-epoch training on ``types`` with selection by dev
+        macro-F1 over the same types; the model ends holding the weights
+        of the best dev epoch (later epochs win ties). Each mini-batch is
+        one padded graph and one loss call. A frozen encoder is kept out
+        of the graph, so it gathers no gradient. A non-finite loss aborts
+        the run before its backward pass, a non-finite gradient before
+        the update."""
         cfg = self.config
         for p in model.encoder_parameters():
             p.requires_grad = not cfg.freeze_encoder
@@ -299,7 +299,7 @@ class _Trainer:
                 loss = model.batch_loss(
                     [ids[idx] for idx in batch],
                     [golds[idx] for idx in batch],
-                    current_types,
+                    types,
                     [distilled[idx] for idx in batch] if distilled is not None else None,
                     cfg.alpha,
                     cfg.beta,
@@ -321,7 +321,7 @@ class _Trainer:
                     for group, base in zip(opt.groups, base_lrs):
                         group["lr"] = base * factor
                 opt.step()
-            dev_f1 = self.evaluate(model, dev_sents, dev_types, step)[0].macro if dev_sents else 0.0
+            dev_f1 = self.evaluate(model, dev_sents, types, step)[0].macro if dev_sents else 0.0
             dev_curve.append(dev_f1)
             if best is None or dev_f1 >= best[0]:
                 snapshot = {k: v.copy() for k, v in model.state_arrays().items()}
@@ -341,7 +341,8 @@ class _Trainer:
         self, model, mode: str, step: int, record: StepRecord, test_sents, decoded
     ) -> None:
         """Write the step's checkpoint, dev record, teacher digest and the
-        test-set spans ``evaluate`` already decoded."""
+        test-set spans ``evaluate`` already decoded; with dump_matrices,
+        the span model's probability matrices from one graph-free pass."""
         d = self.step_dir(mode, step)
         if d is None:
             return
@@ -359,13 +360,14 @@ class _Trainer:
         )
         if record.teacher_digest is not None:
             (d / "teacher_digest.txt").write_text(record.teacher_digest + "\n")
+        matrices = None
+        if self.config.dump_matrices and isinstance(model, SpanKLModel):
+            matrices = model.teacher_predict([self.ids_of(s) for s in test_sents], model.types)
         lines = []
-        for idx, (sent, spans) in enumerate(zip(test_sents, decoded)):
+        for idx, spans in enumerate(decoded):
             rec = {"index": idx, "spans": [[i, j, t, s] for i, j, t, s in spans]}
-            if self.config.dump_matrices and isinstance(model, SpanKLModel):
-                with nc.no_grad():
-                    mats = model.logits(self.ids_of(sent))
-                    rec["matrices"] = {t: nc.sigmoid(m).data.tolist() for t, m in mats.items()}
+            if matrices is not None:
+                rec["matrices"] = {t: m.tolist() for t, m in matrices[idx].items()}
             lines.append(json.dumps(rec, sort_keys=True))
         (d / "predictions.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -385,101 +387,56 @@ def check_lengths(bench: SynthesizedBenchmark, max_len: int, mode: str) -> None:
                     )
 
 
-def run_cl(config: RunConfig, bench: SynthesizedBenchmark, out_dir=None) -> RunResult:
-    """The continual protocol: teacher predictions (one-off, with the
-    previous step's selected model, before head growth), grow, train,
-    select by dev macro-F1, evaluate on the step's test set."""
-    check_lengths(bench, config.max_len, "cl")
+def _run(mode: str, config: RunConfig, bench: SynthesizedBenchmark, out_dir=None) -> RunResult:
+    """The step loop of both protocols: grow heads for the step's new
+    types, train and select on exactly those, evaluate every type learned
+    so far. CL builds the model once and, with beta > 0, distils from a
+    teacher pass over the old types taken before growth (the single-head
+    tagger's teacher must be pre-extension). Non-CL builds a fresh model,
+    which has no old types and so no teacher, at every step and trains it
+    on the union of the data seen so far."""
+    check_lengths(bench, config.max_len, mode)
     tr = _Trainer(config, bench, out_dir)
-    result = RunResult(
-        mode="cl",
-        config=config,
-        setup=bench.setup,
-        kind=bench.kind,
-        permutation=bench.sequence.permutation,
-    )
-    model = build_model(config, len(tr.vocab), stream_rng(config.seed, _INIT, 1))
-    for step, task in enumerate(bench.sequence.tasks, start=1):
-        if not task.types:
-            raise RunError(step, "task defines no entity types")
-        old_types = bench.sequence.cumulative_types(step - 1)
-        train_sents = bench.tasks[step - 1].train
-        if not train_sents:
-            raise RunError(step, "empty task training data")
-        distilled = None
-        digest = None
-        if step > 1 and config.beta > 0.0 and old_types:
-            # one-off teacher pass before this step's heads exist; for the
-            # span model growth provably cannot change old-type outputs,
-            # for the single-head tagger the teacher must be pre-extension
-            distilled = model.teacher_predict(
-                [tr.ids_of(s) for s in train_sents], old_types
-            )
+    result = RunResult(mode, config, bench.setup, bench.kind, bench.sequence.permutation)
+    model = None
+    for step, task in enumerate(bench.tasks, start=1):
+        if model is None or mode == "noncl":
+            model = build_model(config, len(tr.vocab), stream_rng(config.seed, _INIT, step))
+        if mode == "cl":
+            train_sents, dev_sents = task.train, task.dev
+        else:
+            train_sents, dev_sents = bench.noncl_train(step), bench.noncl_dev(step)
+        distilled = digest = None
+        if config.beta > 0.0 and model.types:
+            distilled = model.teacher_predict([tr.ids_of(s) for s in train_sents], model.types)
             digest = cache_digest(distilled)
-        model.grow(task.types, stream_rng(config.seed, _GROW, step))
-        dev_curve, chosen = tr.train_step(
-            model,
-            step,
-            train_sents,
-            bench.tasks[step - 1].dev,
-            task.types,
-            task.types,
-            distilled,
-        )
         learned = bench.sequence.cumulative_types(step)
-        step_eval, decoded = tr.evaluate(model, bench.tasks[step - 1].test, learned, step)
+        new_types = learned[len(model.types) :]
+        model.grow(new_types, stream_rng(config.seed, _GROW, step))
+        dev_curve, chosen = tr.train_step(model, step, train_sents, dev_sents, new_types, distilled)
+        step_eval, decoded = tr.evaluate(model, task.test, learned, step)
         record = StepRecord(step, dev_curve, chosen, step_eval, digest)
         result.steps.append(record)
-        tr.dump_step(model, "cl", step, record, bench.tasks[step - 1].test, decoded)
+        tr.dump_step(model, mode, step, record, task.test, decoded)
         log.info(
-            "cl step %d/%d: dev %s, selected epoch %d, test macro %.4f",
-            step, len(bench.sequence), [f"{x:.3f}" for x in dev_curve], chosen,
-            step_eval.macro,
+            "%s step %d/%d: dev %s, selected epoch %d, test macro %.4f", mode, step,
+            len(bench.tasks), [f"{x:.3f}" for x in dev_curve], chosen, step_eval.macro,
         )
     if tr.out_dir is not None:
         write_run_records(tr.out_dir, result)
     return result
+
+
+def run_cl(config: RunConfig, bench: SynthesizedBenchmark, out_dir=None) -> RunResult:
+    """The continual protocol: teacher pass, grow, train, select by dev
+    macro-F1, evaluate on the step's test set."""
+    return _run("cl", config, bench, out_dir)
 
 
 def run_noncl(config: RunConfig, bench: SynthesizedBenchmark, out_dir=None) -> RunResult:
     """Per-step upper bound: train from scratch on the union of tasks
     1..l with annotations restored for every type learned so far."""
-    check_lengths(bench, config.max_len, "noncl")
-    tr = _Trainer(config, bench, out_dir)
-    result = RunResult(
-        mode="noncl",
-        config=config,
-        setup=bench.setup,
-        kind=bench.kind,
-        permutation=bench.sequence.permutation,
-    )
-    for step in range(1, len(bench.sequence) + 1):
-        learned = bench.sequence.cumulative_types(step)
-        model = build_model(config, len(tr.vocab), stream_rng(config.seed, _INIT, step))
-        model.grow(learned, stream_rng(config.seed, _GROW, step))
-        train_sents = bench.noncl_train(step)
-        if not train_sents:
-            raise RunError(step, "empty union training data")
-        dev_curve, chosen = tr.train_step(
-            model,
-            step,
-            train_sents,
-            bench.noncl_dev(step),
-            learned,
-            learned,
-            None,
-        )
-        step_eval, decoded = tr.evaluate(model, bench.tasks[step - 1].test, learned, step)
-        record = StepRecord(step, dev_curve, chosen, step_eval)
-        result.steps.append(record)
-        tr.dump_step(model, "noncl", step, record, bench.tasks[step - 1].test, decoded)
-        log.info(
-            "noncl step %d/%d: selected epoch %d, test macro %.4f",
-            step, len(bench.sequence), chosen, step_eval.macro,
-        )
-    if tr.out_dir is not None:
-        write_run_records(tr.out_dir, result)
-    return result
+    return _run("noncl", config, bench, out_dir)
 
 
 def load_step_model(config: RunConfig, bench: SynthesizedBenchmark, run_dir, step: int):

@@ -26,7 +26,6 @@ from clner.numcore.tensor import (
     sigmoid,
     softmax,
     softmax_cross_entropy,
-    sub,
     tensor,
     tensor_slice,
     zero_grad,
@@ -56,7 +55,6 @@ __all__ = [
     "sigmoid",
     "softmax",
     "softmax_cross_entropy",
-    "sub",
     "tensor",
     "tensor_slice",
     "zero_grad",

@@ -73,20 +73,11 @@ class Tensor:
     def __radd__(self, other):
         return add(other, self)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -243,11 +234,6 @@ def _broadcast_binary(a: Tensor, b: Tensor, fwd, da, db, name: str) -> Tensor:
 def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     return _broadcast_binary(a, b, np.add, lambda g: g, lambda g: g, "add")
-
-
-def sub(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    return _broadcast_binary(a, b, np.subtract, lambda g: g, lambda g: -g, "sub")
 
 
 def mul(a, b) -> Tensor:

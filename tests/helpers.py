@@ -157,6 +157,18 @@ class PerParameterAdamW:
                     p.data -= lr * wd * p.data
 
 
+def repair_tags_oracle(tags):
+    """Turn I- tags that do not continue a same-type B-/I- run into B-,
+    left to right over the already repaired tags."""
+    out = list(tags)
+    for pos, tag in enumerate(out):
+        if tag.startswith("I-"):
+            prev = out[pos - 1] if pos else "O"
+            if prev not in (f"B-{tag[2:]}", f"I-{tag[2:]}"):
+                out[pos] = f"B-{tag[2:]}"
+    return out
+
+
 def spans_overlap(a, b) -> bool:
     """Token ranges [a.i, a.j] and [b.i, b.j] (inclusive) intersect."""
     return not (a[1] < b[0] or b[1] < a[0])

@@ -15,12 +15,12 @@ from clner.baselines import (
     flatten_spans,
     head_tag_list,
     iob_encode,
+    _spans_from_tags,
     pad_distilled_distribution,
-    repair_tags,
     tag_decode,
 )
 from clner.encoder import EncoderConfig, TransformerEncoder
-from helpers import cross_entropy_rows_oracle, kl_div_rows_oracle
+from helpers import cross_entropy_rows_oracle, kl_div_rows_oracle, repair_tags_oracle
 
 
 def small_encoder(seed=0):
@@ -98,7 +98,7 @@ class TestTagDecode:
         assert tag_decode(["B-PER", "B-PER"]) == [(1, 1, "PER"), (2, 2, "PER")]
 
     def test_orphan_inside_repaired_to_begin(self):
-        assert repair_tags(["O", "I-PER"]) == ["O", "B-PER"]
+        assert repair_tags_oracle(["O", "I-PER"]) == ["O", "B-PER"]
         assert tag_decode(["O", "I-PER"]) == [(2, 2, "PER")]
 
     def test_type_switch_mid_run_repaired(self):
@@ -142,8 +142,27 @@ class TestCombineHeads:
 
     def test_orphan_inside_repaired_after_merge(self):
         per = np.array([[0.9, 0.05, 0.05], [0.1, 0.2, 0.7]])  # O then I-PER
-        tags, _ = combine_heads([(head_tag_list(["PER"]), per)])
-        assert tags == ["O", "B-PER"]
+        spans = _spans_from_tags(*combine_heads([(head_tag_list(["PER"]), per)]))
+        assert spans == [(2, 2, "PER", 0.7)]
+
+    @given(
+        st.lists(st.integers(1, 2), min_size=1, max_size=3),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_decoding_merged_tags_equals_decoding_repaired_tags(self, widths, n, seed):
+        """Decoding opens a mention at an orphan I-, so the merged tags
+        decode to the spans of the tags repaired first."""
+        rng = np.random.default_rng(seed)
+        names = iter("ABCDEF")
+        heads = []
+        for width in widths:
+            tag_list = head_tag_list([next(names) for _ in range(width)])
+            heads.append((tag_list, rng.dirichlet(np.ones(len(tag_list)), size=n)))
+        tags, scores = combine_heads(heads)
+        assert _spans_from_tags(tags, scores) == _spans_from_tags(
+            repair_tags_oracle(tags), scores
+        )
 
 
 class TestPadDistilled:

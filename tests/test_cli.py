@@ -296,6 +296,42 @@ class TestTrain:
         assert f"repeat within or across tasks: ['{repeated}']" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["cl", "noncl"])
+    def test_task_without_types_is_data_error(self, tmp_path, capsys, mode):
+        """Both modes stop before any output; CL used to train step 1
+        and abort at step 2, non-CL to report the empty step."""
+        bench = synth(tmp_path)
+        manifest = json.loads((bench / "benchmark.json").read_text())
+        manifest["tasks"][1]["types"] = []
+        (bench / "benchmark.json").write_text(json.dumps(manifest))
+        out = tmp_path / "run"
+        code = main(
+            ["train", "--benchmark", str(bench), "--mode", mode, "--out", str(out)] + TRAIN_FAST
+        )
+        assert code == EXIT_DATA
+        assert f"task '{manifest['tasks'][1]['name']}' defines no entity types" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["train.txt", "train_full.txt"])
+    @pytest.mark.parametrize("mode", ["cl", "noncl"])
+    def test_task_without_training_sentences_is_data_error(self, tmp_path, capsys, mode, name):
+        """Both modes stop before any output. With an empty train.txt, CL
+        used to train step 1 and abort at step 2, and non-CL to train on
+        the full annotations; an empty train_full.txt went unnoticed, and
+        non-CL trained step 2 on task 1's sentences alone."""
+        bench = synth(tmp_path)
+        train_file = bench / "task_02" / name
+        train_file.write_text("")
+        out = tmp_path / "run"
+        code = main(
+            ["train", "--benchmark", str(bench), "--mode", mode, "--out", str(out)] + TRAIN_FAST
+        )
+        assert code == EXIT_DATA
+        assert f"{train_file}: task 2 has no training sentences" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overlong_sentence_fails_before_training(self, tmp_path, capsys):
         bench = synth(tmp_path, **{"--tasks": 3})
         train_file = bench / "task_03" / "train.txt"

@@ -25,6 +25,7 @@ from clner.clrunner import (
     run_cl,
     run_noncl,
 )
+from clner.encoder import Vocab
 from clner.metrics import Counts, StepEval, TypeScore
 from clner.spankl import SpanKLModel
 
@@ -140,8 +141,11 @@ class TestRunCl:
         assert (out / "curves_cl.csv").exists()
 
     def test_dump_matrices_adds_matrices_only(self, bench, tmp_path):
+        """The dumped matrices are, bit for bit, the sigmoid of the
+        reloaded step model's one-sentence logits."""
         run_cl(RunConfig(**TINY), bench, tmp_path / "plain")
-        run_cl(RunConfig(**TINY, dump_matrices=True), bench, tmp_path / "dump")
+        dump_config = RunConfig(**TINY, dump_matrices=True)
+        run_cl(dump_config, bench, tmp_path / "dump")
 
         def records(name):
             path = tmp_path / name / "cl" / "step_02" / "predictions.jsonl"
@@ -149,11 +153,16 @@ class TestRunCl:
 
         plain, dump = records("plain"), records("dump")
         learned = set(bench.sequence.cumulative_types(2))
+        model = load_step_model(dump_config, bench, tmp_path / "dump", step=2)
+        vocab = Vocab(bench.vocab_tokens)
+        assert len(dump) == len(bench.tasks[1].test)
         for a, b, sent in zip(plain, dump, bench.tasks[1].test):
             assert b["spans"] == a["spans"]
             assert set(b["matrices"]) == learned
-            n = len(sent.tokens)
-            assert all(np.shape(m) == (n, n) for m in b["matrices"].values())
+            with nc.no_grad():
+                logits = model.logits(vocab.encode(sent.tokens))
+            for t, m in b["matrices"].items():
+                np.testing.assert_array_equal(np.array(m), nc.sigmoid(logits[t]).data)
 
     def test_resume_reproduces_teacher_cache(self, bench, tmp_path):
         out = tmp_path / "run"
@@ -163,8 +172,6 @@ class TestRunCl:
         # exact cache the continuous run produced at step 2
         model = load_step_model(config, bench, out, step=1)
         old_types = bench.sequence.cumulative_types(1)
-        from clner.encoder import Vocab
-
         vocab = Vocab(bench.vocab_tokens)
         cache = model.teacher_predict(
             [vocab.encode(s.tokens) for s in bench.tasks[1].train], old_types
@@ -230,6 +237,40 @@ class TestRunCl:
         assert f"heads.{t2}.start_w" in step2
 
 
+class TestStepPlan:
+    """What each protocol trains at each step: the types, the sentences
+    and whether a teacher is used."""
+
+    @staticmethod
+    def plan(runner, config, bench, monkeypatch):
+        steps = []
+        train_step = clrunner._Trainer.train_step
+
+        def spy(self, model, step, train_sents, dev_sents, types, distilled):
+            steps.append((tuple(types), len(train_sents), distilled is not None))
+            return train_step(self, model, step, train_sents, dev_sents, types, distilled)
+
+        monkeypatch.setattr(clrunner._Trainer, "train_step", spy)
+        runner(dataclasses.replace(config, epochs=1), bench)
+        return steps
+
+    @pytest.mark.parametrize("beta", [1.0, 0.0])
+    def test_cl_trains_each_task_on_its_data(self, bench3, monkeypatch, beta):
+        steps = self.plan(run_cl, RunConfig(**TINY, beta=beta), bench3, monkeypatch)
+        assert steps == [
+            (task.spec.types, len(task.train), beta > 0 and step > 1)
+            for step, task in enumerate(bench3.tasks, start=1)
+        ]
+
+    @pytest.mark.parametrize("model", ["spankl", "extendner"])
+    def test_noncl_trains_every_learned_type_on_the_union(self, bench3, monkeypatch, model):
+        steps = self.plan(run_noncl, RunConfig(**TINY, model=model), bench3, monkeypatch)
+        assert steps == [
+            (bench3.sequence.cumulative_types(step), len(bench3.noncl_train(step)), False)
+            for step in (1, 2, 3)
+        ]
+
+
 class TestRunNonCl:
     def test_step_one_identical_to_cl(self, bench):
         cfg = RunConfig(**TINY)
@@ -271,7 +312,6 @@ class TestSchedulesAndFreezing:
     def test_frozen_encoder_parameters_stay_put(self, bench, tmp_path, monkeypatch):
         cfg = dataclasses.replace(RunConfig(**TINY), freeze_encoder=True, epochs=2)
         from clner.clrunner import build_model, stream_rng
-        from clner.encoder import Vocab
         from clner.numcore import load_checkpoint
 
         built = []

@@ -439,18 +439,24 @@ def run_noncl(config: RunConfig, bench: SynthesizedBenchmark, out_dir=None) -> R
     return _run("noncl", config, bench, out_dir)
 
 
-def load_step_model(config: RunConfig, bench: SynthesizedBenchmark, run_dir, step: int):
-    """Rebuild the model structure through the given step and load that
-    step's selected checkpoint (resume support)."""
-    path = Path(run_dir) / "cl" / f"step_{step:02d}" / "checkpoint.bin"
+def load_step_model(
+    config: RunConfig, bench: SynthesizedBenchmark, run_dir, step: int, mode: str = "cl"
+):
+    """Rebuild the model structure of the given step as ``_run`` built
+    it under ``mode`` (CL: built at step 1 and grown once per task;
+    non-CL: built and grown once at that step) and load that step's
+    selected checkpoint (resume support)."""
+    path = Path(run_dir) / mode / f"step_{step:02d}" / "checkpoint.bin"
     try:
         arrays = nc.load_checkpoint(path)
     except (OSError, nc.CheckpointError) as e:
         raise RunError(step, f"cannot load checkpoint {path}: {e}") from e
+    first = 1 if mode == "cl" else step
     vocab = Vocab(bench.vocab_tokens)
-    model = build_model(config, len(vocab), stream_rng(config.seed, _INIT, 1))
-    for l, task in enumerate(bench.sequence.tasks[:step], start=1):
-        model.grow(task.types, stream_rng(config.seed, _GROW, l))
+    model = build_model(config, len(vocab), stream_rng(config.seed, _INIT, first))
+    for l in range(first, step + 1):
+        learned = bench.sequence.cumulative_types(l)
+        model.grow(learned[len(model.types) :], stream_rng(config.seed, _GROW, l))
     model.load_arrays(arrays)
     return model
 

@@ -2,9 +2,11 @@
 
 The encoder is deliberately small: learned token + position embeddings,
 one multi-head scaled-dot-product self-attention layer with a residual
-connection and layer normalization, then dropout. One encoder instance is
-shared by every task head of a model. Reading (train=False) is safe from
-multiple threads; training updates are single-writer.
+connection and layer normalization, then dropout. It is two graph nodes,
+``nc.embed`` and ``nc.attention_block``, which also applies the dropout
+mask. One encoder instance is shared by every task head of a model.
+Reading (train=False) is safe from multiple threads; training updates
+are single-writer.
 """
 from __future__ import annotations
 
@@ -154,32 +156,20 @@ class TransformerEncoder:
                 f"sentence length {lengths.max()} exceeds max_len {self.config.max_len}"
             )
         cfg = self.config
-        d, heads = cfg.d_model, cfg.n_heads
-        dk = d // heads
-        e = nc.gather_rows(self.tok_emb, ids) + self.pos_emb[0:n]
-
-        def split_heads(x: nc.Tensor, axes: tuple[int, ...]) -> nc.Tensor:
-            return nc.permute(nc.reshape(x, (batch, n, heads, dk)), axes)
-
-        q = split_heads(nc.matmul(e, self.w_q) + self.b_q, (0, 2, 1, 3))
-        k = split_heads(nc.matmul(e, self.w_k) + self.b_k, (0, 2, 3, 1))
-        v = split_heads(nc.matmul(e, self.w_v) + self.b_v, (0, 2, 1, 3))
-        scores = nc.matmul(q, k) * dk**-0.5
-        if lengths.min() < n:
-            keys = length_mask(lengths, n)[:, None, None, :]
-            scores = scores + np.where(keys > 0.0, 0.0, -np.inf)
-        attn = nc.softmax(scores, axis=-1)
-        merged = nc.reshape(nc.permute(nc.matmul(attn, v), (0, 2, 1, 3)), (batch, n, d))
-        attended = nc.matmul(merged, self.w_o) + self.b_o
-        hidden = nc.layer_norm(e + attended, self.ln_gain, self.ln_bias)
+        keep = None
         if train and cfg.dropout > 0.0:
             if rng is None:
                 raise ValueError("dropout in train mode needs an explicit rng")
-            keep = np.zeros((batch, n, d))
-            for row, length in zip(keep, lengths):
-                row[:length] = rng.random((length, d)) >= cfg.dropout
-            hidden = hidden * (keep / (1.0 - cfg.dropout))
-        return nc.reshape(hidden, (n, d)) if single else hidden
+            mask = np.zeros((batch, n, cfg.d_model))
+            for row, length in zip(mask, lengths):
+                row[:length] = rng.random((length, cfg.d_model)) >= cfg.dropout
+            keep = mask / (1.0 - cfg.dropout)
+        hidden = nc.attention_block(
+            nc.embed(self.tok_emb, self.pos_emb, ids),
+            self.w_q, self.b_q, self.w_k, self.b_k, self.w_v, self.b_v, self.w_o, self.b_o,
+            self.ln_gain, self.ln_bias, cfg.n_heads, lengths, keep,
+        )
+        return nc.reshape(hidden, (n, cfg.d_model)) if single else hidden
 
 
 class EncoderModel:
@@ -211,18 +201,24 @@ class EncoderModel:
     def _encode(
         self, batch_ids: Sequence[Sequence[int]], train: bool = False, rng=None
     ) -> tuple[nc.Tensor, np.ndarray]:
-        """Right-pad and encode a batch: (B, n, d) vectors and the (B,)
-        true lengths."""
-        ids, lengths = pad_batch(batch_ids)
+        """Encode a batch: (B, n, d) vectors and the (B,) true lengths. A
+        (B, n) id array (an equal-length group) is taken as it is; a
+        list of sentences is right-padded."""
+        if isinstance(batch_ids, np.ndarray):
+            ids, lengths = batch_ids, np.full(len(batch_ids), batch_ids.shape[1])
+        else:
+            ids, lengths = pad_batch(batch_ids)
         return self.encoder.encode(ids, train=train, rng=rng, lengths=lengths), lengths
 
     def _by_length(self, sentences_ids: Sequence[Sequence[int]], run) -> list:
-        """``run`` on each equal-length group of the sentences without a
-        graph, its per-sentence results put back in input order."""
+        """``run`` on each equal-length group of the sentences, stacked
+        into one (B, n) id array, without a graph; its per-sentence
+        results put back in input order."""
         out: list = [None] * len(sentences_ids)
         with nc.no_grad():
             for group in length_buckets(sentences_ids):
-                for idx, result in zip(group, run([sentences_ids[i] for i in group])):
+                batch = np.array([sentences_ids[i] for i in group], dtype=np.int64)
+                for idx, result in zip(group, run(batch)):
                     out[idx] = result
         return out
 

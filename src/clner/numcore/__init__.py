@@ -12,20 +12,20 @@ from clner.numcore.tensor import (
     ShapeError,
     Tensor,
     add,
+    attention_block,
     backward,
     bce_with_logits,
     concat,
-    gather_rows,
-    layer_norm,
+    embed,
     matmul,
     mul,
     no_grad,
     parameter,
-    permute,
     reshape,
     sigmoid,
     softmax,
     softmax_cross_entropy,
+    span_scores,
     tensor,
     tensor_slice,
     zero_grad,
@@ -39,22 +39,22 @@ __all__ = [
     "ShapeError",
     "Tensor",
     "add",
+    "attention_block",
     "backward",
     "bce_with_logits",
     "concat",
-    "gather_rows",
-    "layer_norm",
+    "embed",
     "load_checkpoint",
     "matmul",
     "mul",
     "no_grad",
     "parameter",
-    "permute",
     "reshape",
     "save_checkpoint",
     "sigmoid",
     "softmax",
     "softmax_cross_entropy",
+    "span_scores",
     "tensor",
     "tensor_slice",
     "zero_grad",

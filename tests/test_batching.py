@@ -19,6 +19,7 @@ from clner import spankl
 from clner.baselines import AddNerTagger, ExtendNerTagger
 from clner.clrunner import cache_digest
 from clner.encoder import EncoderConfig, TransformerEncoder
+from helpers import graph_nodes
 
 BATCH = [[3, 9, 2], [14, 5, 5, 21, 7, 8, 4], [6], [11, 12, 13, 2, 3]]
 GOLD = [
@@ -137,6 +138,18 @@ class TestBatchEqualsPerSentence:
                 live[: len(ids), : len(ids)] = np.triu(np.ones((len(ids), len(ids)), dtype=bool))
                 assert not np.any(cell_grad[b][:, ~live]), f"masked cells of sentence {b}"
                 assert np.all(np.any(cell_grad[b][:, live] != 0.0, axis=-1))
+
+
+@pytest.mark.parametrize("kind,most", [("spankl", 8), ("extendner", 8), ("addner", 12)])
+def test_graph_nodes_per_training_batch(kind, most):
+    """A padded training batch with a teacher builds one node for the
+    embedding, one for the attention layer and one for the span scorer;
+    AddNER's count is for its two heads."""
+    model, teacher = build(kind, with_teacher=True)
+    loss = model.batch_loss(
+        BATCH, GOLD, ["PER", "ORG"], teacher, 1.0, 0.7, True, np.random.default_rng(5)
+    )
+    assert graph_nodes(loss) <= most
 
 
 @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])

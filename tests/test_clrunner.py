@@ -10,6 +10,7 @@ import pytest
 
 from clner import clrunner
 from clner import numcore as nc
+from clner import spankl
 from clner.cldata import (
     default_toy_spec,
     generate_toy_corpus,
@@ -25,9 +26,10 @@ from clner.clrunner import (
     run_cl,
     run_noncl,
 )
-from clner.encoder import Vocab
+from clner.encoder import TransformerEncoder, Vocab
 from clner.metrics import Counts, StepEval, TypeScore
 from clner.spankl import SpanKLModel
+from helpers import reference_encode, reference_span_scores
 
 
 TINY = dict(
@@ -291,6 +293,51 @@ class TestRunNonCl:
             cfg = dataclasses.replace(RunConfig(**TINY), model=model, epochs=2)
             result = run_noncl(cfg, bench)
             assert len(result.steps) == 2
+
+
+@pytest.mark.parametrize("model", ["spankl", "extendner", "addner"])
+def test_load_step_model_reloads_every_noncl_step(bench, tmp_path, model):
+    """Each non-CL step's model, rebuilt from that step's init and growth
+    streams and its checkpoint, decodes the step's test set as the run
+    recorded."""
+    config = RunConfig(**TINY, model=model)
+    run_noncl(config, bench, tmp_path)
+    vocab = Vocab(bench.vocab_tokens)
+    for step, task in enumerate(bench.tasks, start=1):
+        reloaded = load_step_model(config, bench, tmp_path, step, mode="noncl")
+        path = tmp_path / "noncl" / f"step_{step:02d}" / "predictions.jsonl"
+        want = [json.loads(line)["spans"] for line in path.read_text().splitlines()]
+        got = reloaded.predict_many([vocab.encode(s.tokens) for s in task.test])
+        assert [[list(span) for span in spans] for spans in got] == want
+
+
+def test_fused_layers_write_the_run_trees_of_the_composed_graph(bench, tmp_path, monkeypatch):
+    """CL and non-CL runs of the span model and ExtendNER, at a batch size
+    that leaves a short last batch and with uneven loss weights, write
+    byte-identical trees (checkpoints, predictions with matrices, teacher
+    digests, records) whether the encoder and the span scorer run as the
+    fused ops or as the graph of primitive ops they replace."""
+    config = RunConfig(
+        **(TINY | dict(epochs=2, batch_size=5)),
+        alpha=0.7, beta=1.3, weight_decay=0.01, dump_matrices=True,
+    )
+
+    def write(root):
+        for model in ("spankl", "extendner"):
+            cfg = dataclasses.replace(config, model=model)
+            run_cl(cfg, bench, root / model)
+            run_noncl(cfg, bench, root / model)
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    fused = write(tmp_path / "fused")
+    with monkeypatch.context() as patch:
+        patch.setattr(TransformerEncoder, "encode", reference_encode)
+        patch.setattr(spankl, "span_logits", reference_span_scores)
+        for name in ("embed", "attention_block", "span_scores"):
+            patch.setattr(nc, name, None)  # a fused call would now fail
+        composed = write(tmp_path / "composed")
+    assert len(fused) > 30 and fused.keys() == composed.keys()
+    assert [name for name in fused if fused[name] != composed[name]] == []
 
 
 class TestSchedulesAndFreezing:

@@ -15,8 +15,14 @@ from helpers import (
     bce_cell,
     cross_entropy_rows_oracle,
     finite_difference_grads,
+    gather_rows,
     kl_div_rows_oracle,
+    layer_norm,
     max_rel_err,
+    permute,
+    reference_attention_block,
+    reference_embed,
+    reference_span_scores,
     total,
     two_branch_sigmoid,
 )
@@ -65,7 +71,7 @@ class TestForwardValues:
         with pytest.raises(nc.ShapeError):
             nc.reshape(nc.tensor(np.zeros((2, 3))), (4, 2))
         with pytest.raises(nc.ShapeError):
-            nc.permute(nc.tensor(np.zeros((2, 3))), (0, 0))
+            permute(nc.tensor(np.zeros((2, 3))), (0, 0))
 
 
 class TestBackwardBasics:
@@ -128,7 +134,7 @@ class TestGradientsMatchFiniteDifferences:
         weights = self.rng.normal(size=(4, 2, 3))
 
         def loss():
-            moved = nc.permute(nc.reshape(x, (2, 3, 2, 2)), (3, 0, 2, 1))
+            moved = permute(nc.reshape(x, (2, 3, 2, 2)), (3, 0, 2, 1))
             return total(nc.mul(nc.sigmoid(nc.reshape(moved, (4, 2, 3))), weights))
 
         assert_gradients_match(loss, [x])
@@ -162,7 +168,7 @@ class TestGradientsMatchFiniteDifferences:
         a, b = self.param(4, 3), self.param(2, 3)
 
         def loss():
-            joined = nc.concat([nc.permute(a, (1, 0))[:, 0:2], nc.permute(b, (1, 0))], axis=1)
+            joined = nc.concat([permute(a, (1, 0))[:, 0:2], permute(b, (1, 0))], axis=1)
             return total(nc.mul(joined, joined))
 
         assert_gradients_match(loss, [a, b])
@@ -171,13 +177,13 @@ class TestGradientsMatchFiniteDifferences:
         table = self.param(6, 4)
         ids = [0, 3, 3, 5]
         assert_gradients_match(
-            lambda: total(nc.sigmoid(nc.gather_rows(table, ids))), [table]
+            lambda: total(nc.sigmoid(gather_rows(table, ids))), [table]
         )
 
     def test_layer_norm(self):
         x, g, b = self.param(4, 6), self.param(6), self.param(6)
         assert_gradients_match(
-            lambda: total(nc.sigmoid(nc.layer_norm(x, g, b))), [x, g, b]
+            lambda: total(nc.sigmoid(layer_norm(x, g, b))), [x, g, b]
         )
 
     def test_bce_with_logits(self):
@@ -263,6 +269,117 @@ class TestGradientsMatchFiniteDifferences:
         assert_gradients_match(loss, [w1, b1, w2, b2])
 
 
+class TestFusedLayers:
+    """``nc.embed``, ``nc.attention_block`` and ``nc.span_scores``: each a
+    single node whose gradients pass the finite-difference check and
+    whose values and gradients equal, bit for bit, those of the graph of
+    primitive ops it replaces (``helpers.reference_*``)."""
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(4321)
+
+    def param(self, *shape):
+        return nc.parameter(self.rng.normal(size=shape))
+
+    def layer(self, d):
+        """Projection weights and biases, then layer-norm gain and bias."""
+        return [self.param(d, d) if i % 2 == 0 else self.param(d) for i in range(8)] + [
+            self.param(d), self.param(d)
+        ]
+
+    def test_embed_gradients(self):
+        tok, pos = self.param(6, 4), self.param(5, 4)
+        for ids in ([[0, 3, 3], [5, 3, 1]], [2, 2], [[1]]):
+            assert_gradients_match(
+                lambda: total(nc.sigmoid(nc.embed(tok, pos, ids))), [tok, pos]
+            )
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("padded", [False, True])
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_attention_block_gradients(self, n_heads, n, padded, dropout):
+        e, params = self.param(2, n, 4), self.layer(4)
+        lengths = [n, max(1, n - 2)] if padded else None
+        keep = (self.rng.random((2, n, 4)) >= 0.3) / 0.7 if dropout else None
+        weights = self.rng.normal(size=(2, n, 4))
+
+        def loss():
+            return total(nc.mul(nc.attention_block(e, *params, n_heads, lengths, keep), weights))
+
+        # the key bias shifts every score of a query by one constant, which
+        # the softmax cancels: its gradient is zero up to roundoff, which
+        # a relative finite-difference comparison cannot check
+        b_k = params[3]
+        assert_gradients_match(loss, [e, *params[:3], *params[4:]])
+        assert np.abs(b_k.grad).max() < 1e-12
+
+    @pytest.mark.parametrize("types", [1, 3])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_span_scores_gradients(self, types, n):
+        hidden = self.param(2, n, 4)
+        heads = [self.param(types, 4 if i % 2 == 0 else 1, 3) for i in range(4)]
+        assert_gradients_match(
+            lambda: total(nc.sigmoid(nc.span_scores(hidden, *heads))), [hidden, *heads]
+        )
+
+    def test_equal_to_the_composed_graph_bitwise_on_random_shapes(self):
+        """300 seeded draws of batch, length, heads, width, types and span
+        width, with and without padding and dropout: every forward value,
+        the loss and every parameter gradient are equal bit for bit."""
+        fused = (nc.embed, nc.attention_block, nc.span_scores)
+        composed = (reference_embed, reference_attention_block, reference_span_scores)
+        for trial in range(300):
+            rng = np.random.default_rng([77, trial])
+            batch, n, n_heads = int(rng.integers(1, 4)), int(rng.integers(1, 8)), int(rng.choice([1, 2, 4]))
+            d, types, span = n_heads * int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            tables = [nc.parameter(rng.normal(size=(7, d))), nc.parameter(rng.normal(size=(n + 2, d)))]
+            layer = [nc.parameter(rng.normal(size=(d, d) if i % 2 == 0 else d)) for i in range(8)]
+            layer += [nc.parameter(rng.normal(size=d)) for _ in range(2)]
+            heads = [nc.parameter(rng.normal(size=(types, d if i % 2 == 0 else 1, span))) for i in range(4)]
+            ids = rng.integers(0, 7, size=(batch, n))
+            lengths = rng.integers(1, n + 1, size=batch) if rng.random() < 0.5 else None
+            keep = (rng.random((batch, n, d)) >= 0.3) / 0.7 if rng.random() < 0.5 else None
+            targets, cell_weights = rng.random((batch, types, n, n)), rng.random((batch, types, n, n))
+            params = tables + layer + heads
+            runs = []
+            for emb, attention, scorer in (fused, composed):
+                nc.zero_grad(params)
+                e = emb(*tables, ids)
+                hidden = attention(e, *layer, n_heads, lengths, keep)
+                logits = scorer(hidden, *heads)
+                loss = nc.bce_with_logits(logits, targets, cell_weights)
+                loss.backward()
+                runs.append([e.data, hidden.data, logits.data, loss.data] + [p.grad.copy() for p in params])
+            for got, want in zip(*runs):
+                np.testing.assert_array_equal(got, want, err_msg=f"trial {trial}")
+
+    def test_shape_checks(self):
+        tok, pos = self.param(5, 4), self.param(3, 4)
+        with pytest.raises(nc.ShapeError, match="out of range"):
+            nc.embed(tok, pos, [[0, 5]])
+        with pytest.raises(nc.ShapeError, match="positions"):
+            nc.embed(tok, pos, [[0, 1, 2, 3]])
+        with pytest.raises(nc.ShapeError, match="width"):
+            nc.embed(tok, self.param(3, 2), [[0]])
+        e, params = self.param(2, 3, 4), self.layer(4)
+        with pytest.raises(nc.ShapeError, match="heads"):
+            nc.attention_block(e, *params, 3)
+        with pytest.raises(nc.ShapeError, match="parameter shape"):
+            nc.attention_block(e, self.param(4, 2), *params[1:], 2)
+        with pytest.raises(nc.ShapeError, match="parameter shape"):
+            nc.attention_block(e, *params[:-1], self.param(3), 2)
+        with pytest.raises(nc.ShapeError, match="lengths"):
+            nc.attention_block(e, *params, 2, [3, 4])
+        with pytest.raises(nc.ShapeError, match="keep shape"):
+            nc.attention_block(e, *params, 2, None, np.ones((2, 3, 2)))
+        heads = [self.param(2, 4, 3), self.param(2, 1, 3)] * 2
+        with pytest.raises(nc.ShapeError, match="does not match heads"):
+            nc.span_scores(self.param(2, 3, 5), *heads)
+        with pytest.raises(nc.ShapeError, match="do not stack"):
+            nc.span_scores(e, *heads[:3], self.param(2, 3))
+
+
 class TestDeterminism:
     def test_bitwise_repeatable_forward_backward(self):
         def run():
@@ -289,6 +406,9 @@ class TestNoGrad:
         v = nc.parameter(rng.normal(size=4))
         w = nc.parameter(rng.normal(size=(4, 2)))
         table = nc.parameter(rng.normal(size=(5, 4)))
+        w4 = nc.parameter(rng.normal(size=(4, 4)))
+        head_w = nc.parameter(rng.normal(size=(2, 4, 3)))
+        head_b = nc.parameter(rng.normal(size=(2, 1, 3)))
         probs = np.full((3, 4), 0.25)
         return {
             "matmul": lambda: nc.matmul(m, w),
@@ -297,11 +417,15 @@ class TestNoGrad:
             "sigmoid": lambda: nc.sigmoid(m),
             "softmax": lambda: nc.softmax(m, axis=-1),
             "reshape": lambda: nc.reshape(m, (4, 3)),
-            "permute": lambda: nc.permute(m, (1, 0)),
             "tensor_slice": lambda: nc.tensor_slice(m, np.array([2, 0])),
             "concat": lambda: nc.concat([m, m], axis=0),
-            "gather_rows": lambda: nc.gather_rows(table, [4, 0, 4]),
-            "layer_norm": lambda: nc.layer_norm(m, v, v),
+            "embed": lambda: nc.embed(table, m, [[4, 0, 4]]),
+            "attention_block": lambda: nc.attention_block(
+                nc.reshape(m, (1, 3, 4)), *[w4, v] * 4, v, v, 2, [2], np.full((1, 3, 4), 2.0)
+            ),
+            "span_scores": lambda: nc.span_scores(
+                nc.reshape(m, (1, 3, 4)), head_w, head_b, head_w, head_b
+            ),
             "bce_with_logits": lambda: nc.bce_with_logits(m, probs),
             "softmax_cross_entropy": lambda: nc.softmax_cross_entropy(m, probs, np.ones(3)),
         }

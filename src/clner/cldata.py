@@ -482,7 +482,7 @@ def permutations(
             fine_by_coarse.setdefault(corpus.grouping[fine], []).append(fine)
         missing = [c for c in FEWNERD_COARSE if c not in fine_by_coarse]
         if missing:
-            raise ValueError(f"corpus lacks coarse groups: {missing}")
+            raise SynthesisError(f"corpus lacks coarse groups: {missing}")
         return [
             TaskSequence(
                 tuple(

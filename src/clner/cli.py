@@ -25,14 +25,18 @@ from pathlib import Path
 import numpy as np
 
 from clner import __version__
-from clner import cldata
+from clner import cldata, metrics
 from clner.cldata import CorpusError, SynthesisError
 from clner.clrunner import (
     MODEL_KINDS,
     RunConfig,
     RunError,
+    read_table,
+    record_path,
     run_cl,
     run_noncl,
+    run_path,
+    write_table,
 )
 from clner.numcore import CheckpointError
 
@@ -168,6 +172,9 @@ def _effective_config(args) -> tuple[RunConfig, list[int]]:
     except (ValueError, TypeError) as e:
         raise UsageError(str(e)) from None
     seeds = _int_list(args.seeds) if args.seeds else [config.seed]
+    repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
+    if repeated:
+        raise UsageError(f"--seeds repeats {repeated}")
     runs = [config] + [dataclasses.replace(config, seed=seed) for seed in seeds]
     problems = list(dict.fromkeys(p for run in runs for p in run.validate()))
     if problems:
@@ -182,18 +189,13 @@ def cmd_train(args) -> int:
     out_root = Path(args.out)
     summary_rows = []
     for seed in seeds:
-        run_config = dataclasses.replace(config, seed=seed)
-        run_dir = out_root / f"run_s{seed}"
-        result = runner(run_config, bench, run_dir)
-        for record in result.steps:
-            summary_rows.append((seed, record.step, record.eval.macro))
+        result = runner(dataclasses.replace(config, seed=seed), bench, run_path(out_root, seed))
+        summary_rows += [(seed, r.step, r.eval.macro) for r in result.steps]
         print(
             f"{args.mode} {config.model} seed {seed}: "
             + " ".join(f"step{r.step}={r.eval.macro:.4f}" for r in result.steps)
         )
-    lines = ["seed\tstep\tmacro_f1"]
-    lines += [f"{s}\t{st}\t{m!r}" for s, st, m in summary_rows]
-    (out_root / "sweep_summary.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(out_root / "sweep_summary.tsv", ("seed", "step", "macro_f1"), summary_rows)
     write_manifest(
         out_root,
         command="train",
@@ -215,7 +217,7 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_train_root(root: Path) -> dict:
+def _train_manifest(root: Path) -> dict:
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise CorpusError(f"{root}: not a train output directory (no manifest.json)")
@@ -225,128 +227,97 @@ def _load_train_root(root: Path) -> dict:
     ))
     if manifest["command"] != "train":
         raise CorpusError(f"{root}: manifest is not from a train command")
-    rows = []
-    mode = manifest["mode"]
-    for seed in manifest["seeds"]:
-        summary = root / f"run_s{seed}" / f"summary_{mode}.tsv"
-        if not summary.exists():
-            raise CorpusError(f"{root}: missing {summary.name} for seed {seed}")
-        lines = summary.read_text(encoding="utf-8").splitlines()
-        header = lines[0].split("\t")
-        for line in lines[1:]:
-            rows.append(dict(zip(header, line.split("\t"))))
-    return {"manifest": manifest, "rows": rows, "root": root}
+    return manifest
 
 
 def _fmt_pct(x: float | None) -> str:
     return "  --  " if x is None else f"{100 * x:6.2f}"
 
 
+def _median(values) -> float | None:
+    present = [v for v in values if v is not None]
+    return float(np.median(present)) if present else None
+
+
 def cmd_report(args) -> int:
-    loaded = [_load_train_root(Path(r)) for r in args.runs]
+    roots = [Path(r) for r in args.runs]
+    manifests = [_train_manifest(root) for root in roots]
     identities = {
-        (
-            d["manifest"]["benchmark_kind"],
-            d["manifest"]["benchmark_setup"],
-            d["manifest"]["benchmark_steps"],
-        )
-        for d in loaded
+        (m["benchmark_kind"], m["benchmark_setup"], m["benchmark_steps"]) for m in manifests
     }
     if len(identities) > 1:
-        raise CorpusError(
-            f"incompatible benchmarks in report inputs: {sorted(identities)}"
-        )
+        raise CorpusError(f"incompatible benchmarks in report inputs: {sorted(identities)}")
     kind, setup, n_steps = next(iter(identities))
-    # macro[(model, mode, perm, seed, step)] = value
+    # macro[(model, mode, perm, seed, step)]; each run comes from one root
     macro: dict[tuple, float] = {}
-    for d in loaded:
-        model = d["manifest"]["config"]["model"]
-        mode = d["manifest"]["mode"]
-        perm = d["manifest"]["benchmark_permutation"]
-        for row in d["rows"]:
-            key = (model, mode, perm, int(row["seed"]), int(row["step"]))
-            macro[key] = float(row["macro_f1"])
-    models = sorted({k[0] for k in macro})
-    perms = sorted({k[2] for k in macro})
-    seeds = sorted({k[3] for k in macro})
-
-    def seed_values(model: str, mode: str, seed: int, step: int) -> float | None:
-        vals = [
-            macro.get((model, mode, p, seed, step))
-            for p in perms
-            if (model, mode, p, seed, step) in macro
-        ]
-        return float(np.mean(vals)) if vals else None
-
+    owner: dict[tuple, Path] = {}
+    curves = []
+    for root, m in zip(roots, manifests):
+        for seed in m["seeds"]:
+            run = (m["config"]["model"], m["mode"], m["benchmark_permutation"], seed)
+            if owner.setdefault(run, root) is not root:
+                raise CorpusError(f"run {run} appears in both {owner[run]} and {root}")
+            for row in read_table(record_path(run_path(root, seed), "summary", m["mode"])):
+                macro[run + (int(row["step"]),)] = float(row["macro_f1"])
+            path = record_path(run_path(root, seed), "curves", m["mode"])
+            if path.exists():
+                curves += [run + tuple(row.values()) for row in read_table(path, ",")]
+    # table[(model, mode, seed, step)]: the mean over the permutations, in
+    # sorted order; delta[(model, seed, step)]: CL minus non-CL
+    per_perm: dict[tuple, list[float]] = {}
+    for (model, mode, _, seed, step), value in sorted(macro.items()):
+        per_perm.setdefault((model, mode, seed, step), []).append(value)
+    table = {cell: float(np.mean(values)) for cell, values in per_perm.items()}
+    delta = {
+        (model, seed, step): metrics.gap(value, table[(model, "noncl", seed, step)])
+        for (model, mode, seed, step), value in table.items()
+        if mode == "cl" and (model, "noncl", seed, step) in table
+    }
+    models = sorted({k[0] for k in table})
+    seeds = sorted({k[2] for k in table})
+    steps = range(1, n_steps + 1)
     lines = [
         f"kind: {kind}   setup: {setup}   steps: {n_steps}",
-        f"permutations: {perms}   seeds: {seeds}",
+        f"permutations: {sorted({k[2] for k in macro})}   seeds: {seeds}",
         "scores: macro-F1 x 100, mean over permutations, median over seeds",
         "",
-        "model        metric   " + "  ".join(f"step{s}" for s in range(1, n_steps + 1)),
+        "model        metric   " + "  ".join(f"step{s}" for s in steps),
     ]
-    delta_rows = []
+
+    def cell(model: str, mode: str, s: int, st: int) -> float | None:
+        """The (model, seed, step) value of a mode, or the Δ for "delta"."""
+        return delta.get((model, s, st)) if mode == "delta" else table.get((model, mode, s, st))
+
     for model in models:
-        for mode_label, mode in (("non-CL", "noncl"), ("CL", "cl")):
-            cells = []
-            for step in range(1, n_steps + 1):
-                per_seed = [
-                    v for v in (seed_values(model, mode, s, step) for s in seeds)
-                    if v is not None
-                ]
-                cells.append(_fmt_pct(float(np.median(per_seed)) if per_seed else None))
-            lines.append(f"{model:<12} {mode_label:<8} " + "  ".join(cells))
-        cells = []
-        for step in range(1, n_steps + 1):
-            per_seed = []
-            for seed in seeds:
-                cl = seed_values(model, "cl", seed, step)
-                nc_ = seed_values(model, "noncl", seed, step)
-                if cl is not None and nc_ is not None:
-                    per_seed.append(cl - nc_)
-                    delta_rows.append((model, seed, step, cl - nc_))
-            cells.append(
-                _fmt_pct(float(np.median(per_seed)) if per_seed else None)
-            )
-        lines.append(f"{model:<12} {'Δ':<8} " + "  ".join(cells))
+        for label, mode in (("non-CL", "noncl"), ("CL", "cl"), ("Δ", "delta")):
+            cells = [_median(cell(model, mode, seed, step) for seed in seeds) for step in steps]
+            lines.append(f"{model:<12} {label:<8} " + "  ".join(map(_fmt_pct, cells)))
         lines.append("")
     lines.append("per-seed values at the final step:")
     for model in models:
         for seed in seeds:
-            cl = seed_values(model, "cl", seed, n_steps)
-            nc_ = seed_values(model, "noncl", seed, n_steps)
-            delta = cl - nc_ if cl is not None and nc_ is not None else None
+            cl, noncl, gap = (cell(model, m, seed, n_steps) for m in ("cl", "noncl", "delta"))
             lines.append(
-                f"  {model:<12} seed {seed}:  CL {_fmt_pct(cl)}  "
-                f"non-CL {_fmt_pct(nc_)}  Δ {_fmt_pct(delta)}"
+                f"  {model:<12} seed {seed}:  CL {_fmt_pct(cl)}  non-CL {_fmt_pct(noncl)}  "
+                f"Δ {_fmt_pct(gap)}"
             )
     report_text = "\n".join(lines) + "\n"
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.txt").write_text(report_text, encoding="utf-8")
-    merged = ["model\tmode\tpermutation\tseed\tstep\tmacro_f1"]
-    for (model, mode, perm, seed, step), value in sorted(macro.items()):
-        merged.append(f"{model}\t{mode}\t{perm}\t{seed}\t{step}\t{value!r}")
-    (out / "merged_summary.tsv").write_text("\n".join(merged) + "\n", encoding="utf-8")
-    deltas = ["model\tseed\tstep\tdelta"]
-    deltas += [f"{m}\t{s}\t{st}\t{d!r}" for m, s, st, d in sorted(delta_rows)]
-    (out / "deltas.tsv").write_text("\n".join(deltas) + "\n", encoding="utf-8")
-    curve_lines = ["model,mode,permutation,seed,step,type,f1"]
-    for d in loaded:
-        model = d["manifest"]["config"]["model"]
-        mode = d["manifest"]["mode"]
-        perm = d["manifest"]["benchmark_permutation"]
-        for seed in d["manifest"]["seeds"]:
-            curves = d["root"] / f"run_s{seed}" / f"curves_{mode}.csv"
-            if curves.exists():
-                for line in curves.read_text(encoding="utf-8").splitlines()[1:]:
-                    curve_lines.append(f"{model},{mode},{perm},{seed},{line}")
-    (out / "curves.csv").write_text("\n".join(curve_lines) + "\n", encoding="utf-8")
-    write_manifest(
-        out,
-        command="report",
-        inputs={"runs": [str(r) for r in args.runs]},
+    write_table(
+        out / "merged_summary.tsv", ("model", "mode", "permutation", "seed", "step", "macro_f1"),
+        [key + (value,) for key, value in sorted(macro.items())],
     )
+    write_table(
+        out / "deltas.tsv", ("model", "seed", "step", "delta"),
+        [key + (value,) for key, value in sorted(delta.items())],
+    )
+    write_table(
+        out / "curves.csv", ("model", "mode", "permutation", "seed", "step", "type", "f1"),
+        curves, ",",
+    )
+    write_manifest(out, command="report", inputs={"runs": [str(r) for r in args.runs]})
     print(report_text)
     return EXIT_OK
 

@@ -330,22 +330,16 @@ class _Trainer:
         return dev_curve, best[1]
 
     # -- per-step artifact I/O ---------------------------------------------
-    def step_dir(self, mode: str, step: int) -> Path | None:
-        if self.out_dir is None:
-            return None
-        d = self.out_dir / mode / f"step_{step:02d}"
-        d.mkdir(parents=True, exist_ok=True)
-        return d
-
     def dump_step(
         self, model, mode: str, step: int, record: StepRecord, test_sents, decoded
     ) -> None:
         """Write the step's checkpoint, dev record, teacher digest and the
         test-set spans ``evaluate`` already decoded; with dump_matrices,
         the span model's probability matrices from one graph-free pass."""
-        d = self.step_dir(mode, step)
-        if d is None:
+        if self.out_dir is None:
             return
+        d = step_path(self.out_dir, mode, step)
+        d.mkdir(parents=True, exist_ok=True)
         nc.save_checkpoint(d / "checkpoint.bin", model.state_arrays())
         (d / "dev_record.json").write_text(
             json.dumps(
@@ -446,7 +440,7 @@ def load_step_model(
     it under ``mode`` (CL: built at step 1 and grown once per task;
     non-CL: built and grown once at that step) and load that step's
     selected checkpoint (resume support)."""
-    path = Path(run_dir) / mode / f"step_{step:02d}" / "checkpoint.bin"
+    path = step_path(run_dir, mode, step) / "checkpoint.bin"
     try:
         arrays = nc.load_checkpoint(path)
     except (OSError, nc.CheckpointError) as e:
@@ -462,85 +456,69 @@ def load_step_model(
 
 
 # ---------------------------------------------------------------------------
-# records on disk
+# records on disk: the one place that names and formats the run records
 # ---------------------------------------------------------------------------
 
 
-def metrics_rows(result: RunResult) -> list[dict]:
-    rows = []
-    base = {
-        "model": result.config.model,
-        "mode": result.mode,
-        "setup": result.setup,
-        "permutation": result.permutation,
-        "seed": result.config.seed,
-    }
-    for record in result.steps:
-        for t in sorted(record.eval.scores):
-            score = record.eval.scores[t]
-            rows.append(
-                base
-                | {
-                    "step": record.step,
-                    "type": t,
-                    "tp": score.counts.tp,
-                    "fp": score.counts.fp,
-                    "fn": score.counts.fn,
-                    "precision": score.precision,
-                    "recall": score.recall,
-                    "f1": score.f1,
-                }
-            )
-    return rows
+def run_path(root, seed: int) -> Path:
+    """The run directory of one seed under a train output root."""
+    return Path(root) / f"run_s{seed}"
 
 
-METRICS_COLUMNS = (
-    "model", "mode", "setup", "permutation", "seed",
-    "step", "type", "tp", "fp", "fn", "precision", "recall", "f1",
-)
+def step_path(run, mode: str, step: int) -> Path:
+    """A run directory's folder for one step's checkpoint and outputs."""
+    return Path(run) / mode / f"step_{step:02d}"
 
 
-def _fmt(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
+def record_path(run, record: str, mode: str) -> Path:
+    """A run directory's ``metrics``, ``summary`` or ``curves`` record."""
+    return Path(run) / f"{record}_{mode}.{'csv' if record == 'curves' else 'tsv'}"
+
+
+def write_table(path, header: Sequence[str], rows, sep: str = "\t") -> None:
+    """The header, then one line per row, fields joined by ``sep`` and
+    floats written as their repr, with a final newline."""
+    lines = [sep.join(header)]
+    lines += [sep.join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def read_table(path, sep: str = "\t") -> list[dict[str, str]]:
+    """Rows of a ``write_table`` file as header-keyed strings, the last
+    field keeping any further ``sep``; a short row or an empty file is a
+    CorpusError."""
+    header, *lines = Path(path).read_text(encoding="utf-8").splitlines() or [""]
+    if not header:
+        raise CorpusError(f"{path}: no header line")
+    columns = header.split(sep)
+    rows = [line.split(sep, len(columns) - 1) for line in lines]
+    for lineno, fields in enumerate(rows, start=2):
+        if len(fields) != len(columns):
+            raise CorpusError(f"{path}:{lineno}: expected {len(columns)} fields, got {len(fields)}")
+    return [dict(zip(columns, fields)) for fields in rows]
 
 
 def write_run_records(out_dir, result: RunResult) -> None:
-    """metrics.tsv (per type), summary.tsv (per-step macro), curves.csv
-    (per-type and macro F1 by step, for forgetting-curve plots)."""
-    out = Path(out_dir)
-    rows = metrics_rows(result)
-    lines = ["\t".join(METRICS_COLUMNS)]
-    lines += ["\t".join(_fmt(r[c]) for c in METRICS_COLUMNS) for r in rows]
-    (out / f"metrics_{result.mode}.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    summary = ["\t".join(("model", "mode", "setup", "permutation", "seed", "step", "macro_f1"))]
-    for record in result.steps:
-        summary.append(
-            "\t".join(
-                (
-                    result.config.model,
-                    result.mode,
-                    result.setup,
-                    str(result.permutation),
-                    str(result.config.seed),
-                    str(record.step),
-                    repr(record.eval.macro),
-                )
-            )
-        )
-    (out / f"summary_{result.mode}.tsv").write_text("\n".join(summary) + "\n", encoding="utf-8")
-    curve_types = _curve_types(result)
-    curves = ["step,type,f1"]
-    for record in result.steps:
-        for t in curve_types:
-            if t in record.eval.scores:
-                curves.append(f"{record.step},{t},{record.eval.scores[t].f1!r}")
-        curves.append(f"{record.step},__macro__,{record.eval.macro!r}")
-    (out / f"curves_{result.mode}.csv").write_text("\n".join(curves) + "\n", encoding="utf-8")
-
-
-def _curve_types(result: RunResult) -> list[str]:
-    """Every scored type of every step, sorted; Few-NERD curves keep only
-    the coarse groups (fine types are named "coarse-fine")."""
-    return sorted(
+    """metrics (per type), summary (per-step macro) and curves (per-type
+    and macro F1 by step, for forgetting-curve plots; Few-NERD curves
+    keep only the coarse groups, as fine types are named "coarse-fine")."""
+    key = (result.config.model, result.mode, result.setup, result.permutation, result.config.seed)
+    curve_types = sorted(
         {t for r in result.steps for t in r.eval.scores if result.kind != "fewnerd" or "-" not in t}
     )
+    metrics, summary, curves = [], [], []
+    for r in result.steps:
+        scores = r.eval.scores
+        for t in sorted(scores):
+            s, c = scores[t], scores[t].counts
+            metrics.append(key + (r.step, t, c.tp, c.fp, c.fn, s.precision, s.recall, s.f1))
+        summary.append(key + (r.step, r.eval.macro))
+        curves += [(r.step, t, scores[t].f1) for t in curve_types if t in scores]
+        curves.append((r.step, "__macro__", r.eval.macro))
+    columns = ("model", "mode", "setup", "permutation", "seed", "step")
+    write_table(
+        record_path(out_dir, "metrics", result.mode),
+        columns + ("type", "tp", "fp", "fn", "precision", "recall", "f1"), metrics,
+    )
+    write_table(record_path(out_dir, "summary", result.mode), columns + ("macro_f1",), summary)
+    write_table(record_path(out_dir, "curves", result.mode), ("step", "type", "f1"), curves, ",")

@@ -63,24 +63,12 @@ class Tensor:
     def backward(self) -> None:
         backward(self)
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
     # operator sugar; all routing goes through the module-level ops
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return tensor_slice(self, key)
@@ -448,42 +436,53 @@ def attention_block(
 
 
 def span_scores(
-    hidden: Tensor, start_w: Tensor, start_b: Tensor, end_w: Tensor, end_b: Tensor
+    hidden: Tensor, start_w: Tensor, start_b: Tensor, end_w: Tensor, end_b: Tensor, rows=None
 ) -> Tensor:
     """(B, n, d) boundary vectors and T stacked heads -> (B, T, n, n)
     logits start_t(h_i) . end_t(h_j) / sqrt(d_span), where start_t(h) =
     h @ start_w[t] + start_b[t] and likewise for the end. Weights are
-    (T, d, d_span), biases (T, 1, d_span)."""
+    (T, d, d_span), biases (T, 1, d_span). ``rows``, an index array
+    without repeats, scores only those heads, in its order, and scatters
+    their gradients into the full stacks; None scores every head."""
     hidden, start_w, start_b, end_w, end_b = (
         _lift(t) for t in (hidden, start_w, start_b, end_w, end_b)
     )
-    if hidden.data.ndim != 3 or start_w.data.ndim != 3 or start_w.shape[1] != hidden.shape[-1]:
-        raise ShapeError(f"span_scores: hidden {hidden.shape} does not match heads {start_w.shape}")
+    stacks = (start_w, start_b, end_w, end_b)
+    sw, sb, ew, eb = (t.data if rows is None else t.data[rows] for t in stacks)
+    if hidden.data.ndim != 3 or sw.ndim != 3 or sw.shape[1] != hidden.shape[-1]:
+        raise ShapeError(f"span_scores: hidden {hidden.shape} does not match heads {sw.shape}")
     batch, n, d = hidden.shape
-    types, _, span = start_w.shape
-    if end_w.shape != start_w.shape or start_b.shape != (types, 1, span) or end_b.shape != start_b.shape:
-        shapes = [start_w.shape, start_b.shape, end_w.shape, end_b.shape]
+    types, _, span = sw.shape
+    if ew.shape != sw.shape or sb.shape != (types, 1, span) or eb.shape != sb.shape:
+        shapes = [sw.shape, sb.shape, ew.shape, eb.shape]
         raise ShapeError(f"span_scores: head shapes {shapes} do not stack")
-    rows = hidden.data.reshape(batch, 1, n, d)
-    start = rows @ start_w.data + start_b.data
-    end_t = (rows @ end_w.data + end_b.data).transpose(0, 1, 3, 2)
+    h = hidden.data.reshape(batch, 1, n, d)
+    start = h @ sw + sb
+    end_t = (h @ ew + eb).transpose(0, 1, 3, 2)
     scale = span**-0.5
     data = (start @ end_t) * scale
 
+    def put(stack: Tensor, g: np.ndarray) -> None:
+        if rows is not None and stack.requires_grad:
+            full = np.zeros_like(stack.data)
+            full[rows] += g
+            g = full
+        _accumulate(stack, g)
+
     def backprop(grad):
         g = grad * scale
-        d_rows = None
-        for d_out, w, b in (
-            (g @ _swap(end_t), start_w, start_b),
-            ((_swap(start) @ g).transpose(0, 1, 3, 2), end_w, end_b),
+        d_h = None
+        for d_out, w, b, w_data in (
+            (g @ _swap(end_t), start_w, start_b, sw),
+            ((_swap(start) @ g).transpose(0, 1, 3, 2), end_w, end_b, ew),
         ):
-            _accumulate(b, _unbroadcast(d_out, b.shape))
-            _accumulate(w, _unbroadcast(_swap(rows) @ d_out, w.shape))
-            term = _unbroadcast(d_out @ _swap(w.data), rows.shape)
-            d_rows = term if d_rows is None else d_rows + term
-        _accumulate(hidden, d_rows.reshape(hidden.shape))
+            put(b, _unbroadcast(d_out, sb.shape))
+            put(w, _unbroadcast(_swap(h) @ d_out, w_data.shape))
+            term = _unbroadcast(d_out @ _swap(w_data), h.shape)
+            d_h = term if d_h is None else d_h + term
+        _accumulate(hidden, d_h.reshape(hidden.shape))
 
-    return _make(data, (hidden, start_w, start_b, end_w, end_b), backprop)
+    return _make(data, (hidden, *stacks), backprop)
 
 
 # ---------------------------------------------------------------------------

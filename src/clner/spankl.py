@@ -42,12 +42,14 @@ def span_logits(
     start_b: nc.Tensor,
     end_w: nc.Tensor,
     end_b: nc.Tensor,
+    rows: np.ndarray | None = None,
 ) -> nc.Tensor:
     """(B, n, d) boundary vectors and T stacked heads -> (B, T, n, n)
     logits: start_t(h_i) . end_t(h_j) / sqrt(d_span), one graph node.
-    Weights are (T, d, d_span), biases (T, 1, d_span). The span model's
-    layer boundary, which the benchmark's layer trace times."""
-    return nc.span_scores(hidden, start_w, start_b, end_w, end_b)
+    Weights are (T, d, d_span), biases (T, 1, d_span); ``rows`` picks the
+    heads to score (default: all). The span model's layer boundary, which
+    the benchmark's layer trace times."""
+    return nc.span_scores(hidden, start_w, start_b, end_w, end_b, rows)
 
 
 def objective(
@@ -261,11 +263,10 @@ class SpanKLModel(EncoderModel):
         (B, T, n, n) logits and the (B,) sentence lengths."""
         wanted = list(self.types if types is None else types)
         rows = [self.types.index(t) for t in wanted]
+        picked = None if rows == list(range(len(self.types))) else np.array(rows, dtype=np.int64)
         heads = [getattr(self, part) for part in _HEAD_PARTS]
-        if rows != list(range(len(self.types))):
-            heads = [p[np.array(rows, dtype=np.int64)] for p in heads]
         hidden, lengths = self._encode(batch_ids, train, rng)
-        return wanted, span_logits(hidden, *heads), lengths
+        return wanted, span_logits(hidden, *heads, picked), lengths
 
     def logits(
         self,

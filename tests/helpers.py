@@ -176,14 +176,19 @@ def reference_attention_block(
     return hidden if keep is None else hidden * keep
 
 
-def reference_span_scores(hidden, start_w, start_b, end_w, end_b):
-    """``nc.span_scores`` as a graph of primitive ops."""
+def reference_span_scores(hidden, start_w, start_b, end_w, end_b, rows=None):
+    """``nc.span_scores`` as a graph of primitive ops; picked ``rows`` are
+    sliced out of each stack by ``tensor_slice``."""
     from clner import numcore as nc
 
+    if rows is not None:
+        start_w, start_b, end_w, end_b = (
+            nc.tensor_slice(p, rows) for p in (start_w, start_b, end_w, end_b)
+        )
     batch, n, d = hidden.shape
-    rows = nc.reshape(hidden, (batch, 1, n, d))
-    start = nc.matmul(rows, start_w) + start_b
-    end = nc.matmul(rows, end_w) + end_b
+    h = nc.reshape(hidden, (batch, 1, n, d))
+    start = nc.matmul(h, start_w) + start_b
+    end = nc.matmul(h, end_w) + end_b
     return nc.matmul(start, permute(end, (0, 1, 3, 2))) * (start_w.shape[2] ** -0.5)
 
 

@@ -152,6 +152,16 @@ def test_graph_nodes_per_training_batch(kind, most):
     assert graph_nodes(loss) <= most
 
 
+def test_graph_nodes_per_span_batch_without_teacher():
+    """Without a teacher a span batch scores only the current types'
+    heads, which the span scorer picks inside its one node."""
+    model, _ = build("spankl", with_teacher=False)
+    loss = model.batch_loss(
+        BATCH, GOLD, ["PER", "ORG"], None, 1.0, 0.7, True, np.random.default_rng(5)
+    )
+    assert graph_nodes(loss) <= 5
+
+
 @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
 @pytest.mark.parametrize("with_teacher", [True, False], ids=["teacher", "no-teacher"])
 def test_trained_loss_is_the_gated_loss(with_teacher, train):

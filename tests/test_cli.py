@@ -2,12 +2,22 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from clner import clrunner
+from clner.cldata import (
+    FEWNERD_COARSE,
+    ONTONOTES_TYPES,
+    LexEntry,
+    ToyCorpusSpec,
+    generate_toy_corpus,
+    split3,
+    write_corpus,
+)
 from clner import numcore as nc
 from clner.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, parse_config_file
 from clner.spankl import SpanKLModel
@@ -41,6 +51,27 @@ TRAIN_FAST = [
     "--set", "d_model=16", "--set", "n_heads=2",
     "--set", "d_span=8", "--set", "max_len=32", "--set", "batch_size=8",
 ]
+
+
+def write_kind_corpus(root: Path, types, bare: bool = False) -> Path:
+    """A corpus directory (train/dev/test.txt) whose sentences each name
+    two of ``types``, one token per mention; ``bare`` writes Few-NERD-style
+    tags without the B-/I- prefixes."""
+    lexicons = {t: tuple(LexEntry((f"{t.lower()}{k}",)) for k in range(3)) for t in types}
+    templates = tuple(
+        ("the", f"<{t}>", "met", f"<{u}>", "today") for t, u in zip(types, types[1:] + types[:1])
+    )
+    corpus = generate_toy_corpus(ToyCorpusSpec(tuple(types), lexicons, templates, 80), seed=0)
+    root.mkdir()
+    for name, part in zip(("train.txt", "dev.txt", "test.txt"), split3(corpus)):
+        write_corpus(root / name, part)
+        if bare:
+            text = (root / name).read_text(encoding="utf-8")
+            (root / name).write_text(re.sub(r"\t[BI]-", "\t", text), encoding="utf-8")
+    return root
+
+
+FEWNERD_FINE = [f"{coarse}-{fine}" for coarse in FEWNERD_COARSE for fine in ("a", "b")]
 
 
 class TestSynthesize:
@@ -86,6 +117,39 @@ class TestSynthesize:
             ]
         )
         assert code in (EXIT_USAGE, EXIT_DATA)
+
+    @pytest.mark.parametrize(
+        "kind, types, bare, tasks",
+        [("fewnerd", FEWNERD_FINE, True, 8), ("ontonotes", list(ONTONOTES_TYPES), False, 6)],
+    )
+    def test_corpus_kinds(self, tmp_path, kind, types, bare, tasks):
+        corpus = write_kind_corpus(tmp_path / "corpus", types, bare)
+        out = tmp_path / "bench"
+        code = main(
+            ["synthesize", "--kind", kind, "--setup", "split-all",
+             "--corpus", str(corpus), "--out", str(out)]
+        )
+        assert code == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert len(manifest["tasks"]) == tasks
+        if kind == "fewnerd":
+            assert {t["name"]: t["types"] for t in manifest["tasks"]} == {
+                c: [f"{c}-a", f"{c}-b"] for c in FEWNERD_COARSE
+            }
+        else:
+            assert [t["types"] for t in manifest["tasks"]] == [[t] for t in ONTONOTES_TYPES]
+
+    def test_fewnerd_corpus_without_a_coarse_group_is_data_error(self, tmp_path, capsys):
+        types = [t for t in FEWNERD_FINE if not t.startswith("art-")]
+        corpus = write_kind_corpus(tmp_path / "corpus", types, bare=True)
+        out = tmp_path / "bench"
+        code = main(
+            ["synthesize", "--kind", "fewnerd", "--setup", "split-all",
+             "--corpus", str(corpus), "--out", str(out)]
+        )
+        assert code == EXIT_DATA
+        assert "corpus lacks coarse groups: ['art']" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -360,6 +424,15 @@ class TestTrain:
         assert len(summary) == 1 + 2 * 2  # header + 2 seeds x 2 steps
 
 
+    def test_repeated_seed_is_usage_error(self, tmp_path, capsys):
+        bench = synth(tmp_path)
+        out = tmp_path / "run"
+        code = main(["train", "--benchmark", str(bench), "--seeds", "1,2,1", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "--seeds repeats [1]" in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("cli_report")
@@ -376,6 +449,41 @@ def trained(tmp_path_factory):
     return tmp_path, cl_out, nc_out
 
 
+def write_train_root(root: Path, model: str, mode: str, permutation: int, macro: dict) -> Path:
+    """A hand-written train output directory: its manifest, and per seed
+    the summary and curve files with the given per-step macro-F1 values."""
+    for seed, values in macro.items():
+        run = root / f"run_s{seed}"
+        run.mkdir(parents=True)
+        rows = [
+            f"{model}\t{mode}\tsplit-all\t{permutation}\t{seed}\t{step}\t{value!r}\n"
+            for step, value in enumerate(values, start=1)
+        ]
+        (run / f"summary_{mode}.tsv").write_text(
+            "model\tmode\tsetup\tpermutation\tseed\tstep\tmacro_f1\n" + "".join(rows)
+        )
+        curves = [f"{step},__macro__,{value!r}\n" for step, value in enumerate(values, start=1)]
+        (run / f"curves_{mode}.csv").write_text("step,type,f1\n" + "".join(curves))
+    manifest = {
+        "command": "train", "config": {"model": model}, "mode": mode, "seeds": sorted(macro),
+        "benchmark_kind": "toy", "benchmark_setup": "split-all", "benchmark_steps": 2,
+        "benchmark_permutation": permutation,
+    }
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    return root
+
+
+# (model, mode, permutation) -> seed -> macro-F1 at steps 1 and 2; seed 3
+# has no non-CL run and addner has CL runs only
+HAND_RUNS = {
+    ("spankl", "cl", 1): {1: (0.5, 0.25), 2: (0.75, 0.5), 3: (0.625, 0.375)},
+    ("spankl", "cl", 2): {1: (0.25, 0.25), 2: (0.5, 0.25), 3: (0.875, 0.625)},
+    ("spankl", "noncl", 1): {1: (0.75, 0.5), 2: (0.875, 0.875)},
+    ("spankl", "noncl", 2): {1: (0.625, 0.5), 2: (1.0, 0.875)},
+    ("addner", "cl", 1): {1: (0.5, 0.375), 2: (0.25, 0.125), 3: (0.75, 0.5)},
+}
+
+
 class TestReport:
     def test_delta_table_and_files(self, trained):
         tmp_path, cl_out, nc_out = trained
@@ -389,6 +497,87 @@ class TestReport:
         assert len(deltas) == 1 + 4
         merged = (rep / "merged_summary.tsv").read_text().splitlines()
         assert len(merged) == 1 + 2 * 2 * 2  # modes x seeds x steps
+
+    def test_report_arithmetic_over_permutations_and_seeds(self, tmp_path):
+        """Each (model, mode, seed, step) cell is the mean over the
+        permutations; a table cell is the median of those over the seeds,
+        and Δ the median over the seeds that have both modes."""
+        roots = [
+            str(write_train_root(tmp_path / f"{model}_{mode}_p{perm}", model, mode, perm, macro))
+            for (model, mode, perm), macro in HAND_RUNS.items()
+        ]
+        rep = tmp_path / "rep"
+        assert main(["report", *roots, "--out", str(rep)]) == EXIT_OK
+        assert (rep / "report.txt").read_text().splitlines() == [
+            "kind: toy   setup: split-all   steps: 2",
+            "permutations: [1, 2]   seeds: [1, 2, 3]",
+            "scores: macro-F1 x 100, mean over permutations, median over seeds",
+            "",
+            "model        metric   step1  step2",
+            "addner       non-CL     --      --  ",
+            "addner       CL        50.00   37.50",
+            "addner       Δ          --      --  ",
+            "",
+            "spankl       non-CL    81.25   68.75",
+            "spankl       CL        62.50   37.50",
+            "spankl       Δ        -31.25  -37.50",
+            "",
+            "per-seed values at the final step:",
+            "  addner       seed 1:  CL  37.50  non-CL   --    Δ   --  ",
+            "  addner       seed 2:  CL  12.50  non-CL   --    Δ   --  ",
+            "  addner       seed 3:  CL  50.00  non-CL   --    Δ   --  ",
+            "  spankl       seed 1:  CL  25.00  non-CL  50.00  Δ -25.00",
+            "  spankl       seed 2:  CL  37.50  non-CL  87.50  Δ -50.00",
+            "  spankl       seed 3:  CL  50.00  non-CL   --    Δ   --  ",
+        ]
+        assert (rep / "deltas.tsv").read_text().splitlines() == [
+            "model\tseed\tstep\tdelta",
+            "spankl\t1\t1\t-0.3125",
+            "spankl\t1\t2\t-0.25",
+            "spankl\t2\t1\t-0.3125",
+            "spankl\t2\t2\t-0.5",
+        ]
+        merged = (rep / "merged_summary.tsv").read_text().splitlines()
+        assert len(merged) == 1 + 2 * sum(len(macro) for macro in HAND_RUNS.values())
+        assert merged[1] == "addner\tcl\t1\t1\t1\t0.5"
+        curves = (rep / "curves.csv").read_text().splitlines()
+        assert curves[1:3] == ["spankl,cl,1,1,1,__macro__,0.5", "spankl,cl,1,1,2,__macro__,0.25"]
+
+    def test_run_in_two_roots_is_data_error(self, tmp_path, capsys):
+        """Two roots holding the same (model, mode, permutation, seed) run
+        stop the report before it writes anything, naming both roots."""
+        macro = HAND_RUNS[("spankl", "cl", 1)]
+        first = write_train_root(tmp_path / "a", "spankl", "cl", 1, macro)
+        second = write_train_root(tmp_path / "b", "spankl", "cl", 1, {2: macro[2]})
+        rep = tmp_path / "rep"
+        assert main(["report", str(first), str(second), "--out", str(rep)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "('spankl', 'cl', 1, 2)" in err and str(first) in err and str(second) in err
+        assert not rep.exists()
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("short row", "summary_cl.tsv:3: expected 7 fields, got 6"),
+            ("empty", "summary_cl.tsv: no header line"),
+            ("missing", "No such file or directory"),
+        ],
+        ids=["short-row", "empty", "missing"],
+    )
+    def test_damaged_summary_record_is_data_error(self, tmp_path, capsys, damage, message):
+        root = write_train_root(tmp_path / "a", "spankl", "cl", 1, HAND_RUNS[("spankl", "cl", 1)])
+        summary = root / "run_s2" / "summary_cl.tsv"
+        if damage == "short row":
+            summary.write_text(summary.read_text().replace("\t0.5\n", "\n"))
+        elif damage == "empty":
+            summary.write_text("")
+        else:
+            summary.unlink()
+        rep = tmp_path / "rep"
+        assert main(["report", str(root), "--out", str(rep)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert message in err and str(root / "run_s2") in err
+        assert not rep.exists()
 
     def test_curve_file_rows(self, trained):
         tmp_path, cl_out, nc_out = trained

@@ -323,10 +323,22 @@ class TestFusedLayers:
             lambda: total(nc.sigmoid(nc.span_scores(hidden, *heads))), [hidden, *heads]
         )
 
+    def test_span_scores_gradients_of_picked_rows(self):
+        """Scoring picked heads in a new order: the gradients pass the
+        finite-difference check, and the unpicked head gets zeros."""
+        hidden = self.param(2, 3, 4)
+        heads = [self.param(3, 4 if i % 2 == 0 else 1, 3) for i in range(4)]
+        rows = np.array([2, 0])
+        assert_gradients_match(
+            lambda: total(nc.sigmoid(nc.span_scores(hidden, *heads, rows))), [hidden, *heads]
+        )
+        assert all(not p.grad[1].any() for p in heads)
+
     def test_equal_to_the_composed_graph_bitwise_on_random_shapes(self):
-        """300 seeded draws of batch, length, heads, width, types and span
-        width, with and without padding and dropout: every forward value,
-        the loss and every parameter gradient are equal bit for bit."""
+        """300 seeded draws of batch, length, heads, width, types, picked
+        head rows (all, or a subset in random order) and span width, with
+        and without padding and dropout: every forward value, the loss and
+        every parameter gradient are equal bit for bit."""
         fused = (nc.embed, nc.attention_block, nc.span_scores)
         composed = (reference_embed, reference_attention_block, reference_span_scores)
         for trial in range(300):
@@ -337,17 +349,21 @@ class TestFusedLayers:
             layer = [nc.parameter(rng.normal(size=(d, d) if i % 2 == 0 else d)) for i in range(8)]
             layer += [nc.parameter(rng.normal(size=d)) for _ in range(2)]
             heads = [nc.parameter(rng.normal(size=(types, d if i % 2 == 0 else 1, span))) for i in range(4)]
+            rows = None
+            if rng.random() < 0.5:
+                rows = rng.choice(types, size=int(rng.integers(1, types + 1)), replace=False)
+            picked = types if rows is None else len(rows)
             ids = rng.integers(0, 7, size=(batch, n))
             lengths = rng.integers(1, n + 1, size=batch) if rng.random() < 0.5 else None
             keep = (rng.random((batch, n, d)) >= 0.3) / 0.7 if rng.random() < 0.5 else None
-            targets, cell_weights = rng.random((batch, types, n, n)), rng.random((batch, types, n, n))
+            targets, cell_weights = rng.random((2, batch, picked, n, n))
             params = tables + layer + heads
             runs = []
             for emb, attention, scorer in (fused, composed):
                 nc.zero_grad(params)
                 e = emb(*tables, ids)
                 hidden = attention(e, *layer, n_heads, lengths, keep)
-                logits = scorer(hidden, *heads)
+                logits = scorer(hidden, *heads, rows)
                 loss = nc.bce_with_logits(logits, targets, cell_weights)
                 loss.backward()
                 runs.append([e.data, hidden.data, logits.data, loss.data] + [p.grad.copy() for p in params])

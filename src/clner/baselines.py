@@ -17,6 +17,7 @@ import numpy as np
 from clner import numcore as nc
 from clner.cldata import Span, decode_layer, encode_layer
 from clner.encoder import EncoderModel, TransformerEncoder, fan_in_uniform, length_mask
+from clner.numcore.tensor import stable_softmax
 
 DEFAULT_PAD_CONSTANT = 1e-4
 
@@ -107,10 +108,8 @@ def pad_distilled_distribution(
 
 
 def _spans_from_tags(tags: Sequence[str], scores: Sequence[float]):
-    spans = []
-    for i, j, t in tag_decode(tags):
-        spans.append((i, j, t, float(np.mean([scores[p] for p in range(i - 1, j)]))))
-    return spans
+    """Decoded spans, each scored by the mean of its tokens' scores."""
+    return [(i, j, t, float(np.mean(scores[i - 1 : j]))) for i, j, t in tag_decode(tags)]
 
 
 def _flat_rows(hidden: nc.Tensor, lengths: np.ndarray) -> tuple[nc.Tensor, np.ndarray, int]:
@@ -174,22 +173,13 @@ class AddNerTagger(EncoderModel):
     def _head_logits(self, hidden: nc.Tensor, idx: int) -> nc.Tensor:
         return nc.matmul(hidden, self.weights[idx]) + self.biases[idx]
 
-    def batch_loss(
-        self,
-        batch_ids: Sequence[Sequence[int]],
-        batch_gold: Sequence[Iterable],
-        current_types: Sequence[str],
-        distilled: Sequence[Sequence[np.ndarray]] | None,
-        alpha: float,
-        beta: float,
-        train: bool,
-        rng: np.random.Generator | None,
-    ) -> nc.Tensor:
-        """Mean over the batch of each sentence's loss: alpha * cross
+    def _loss_sum(self, hidden, lengths, batch_gold, current_types, distilled, alpha, beta):
+        """Sum over the batch of each sentence's loss: alpha * cross
         entropy on heads whose types are current; beta * KL against the
-        teacher's own-head softmax on the older heads, as a cross entropy
-        against the teacher rows plus their constant negative entropy."""
-        hidden, lengths = self._encode(batch_ids, train, rng)
+        teacher's own-head softmax on the older heads (a sentence's
+        distilled labels: one (n, width) array per taught head), as a
+        cross entropy against the teacher rows plus their constant
+        negative entropy."""
         rows, real, n = _flat_rows(hidden, lengths)
         current = set(current_types)
         taught = min(len(d) for d in distilled) if distilled is not None else 0
@@ -209,7 +199,7 @@ class AddNerTagger(EncoderModel):
             loss = term if loss is None else loss + term
         if loss is None:
             raise ValueError("no head received a training signal for this batch")
-        return nc.mul(loss, 1.0 / len(lengths))
+        return loss
 
     def _probs(self, batch_ids: Sequence[Sequence[int]], types: Sequence[str]) -> list:
         """Per sentence of an equal-length batch, each head's (n, width)
@@ -217,7 +207,7 @@ class AddNerTagger(EncoderModel):
         heads answer for ``types``."""
         hidden, _ = self._encode(batch_ids)
         heads = [
-            nc.softmax(self._head_logits(hidden, idx), axis=-1).data
+            stable_softmax(self._head_logits(hidden, idx).data)
             for idx in range(len(self.task_types))
         ]
         return [list(rows) for rows in zip(*heads)]
@@ -261,23 +251,13 @@ class ExtendNerTagger(EncoderModel):
     def _logits(self, hidden: nc.Tensor) -> nc.Tensor:
         return nc.matmul(hidden, self.weight) + self.bias
 
-    def batch_loss(
-        self,
-        batch_ids: Sequence[Sequence[int]],
-        batch_gold: Sequence[Iterable],
-        current_types: Sequence[str],
-        distilled: Sequence[np.ndarray] | None,
-        alpha: float,
-        beta: float,
-        train: bool,
-        rng: np.random.Generator | None,
-    ) -> nc.Tensor:
-        """Mean over the batch of each sentence's loss, as one weighted
+    def _loss_sum(self, hidden, lengths, batch_gold, current_types, distilled, alpha, beta):
+        """Sum over the batch of each sentence's loss, as one weighted
         cross entropy over per-token targets: alpha * CE with the gold on
         tokens whose gold is a current entity tag (on every token when no
-        teacher exists), beta * KL against the teacher's padded row on the
-        others (CE plus the row's constant negative entropy)."""
-        hidden, lengths = self._encode(batch_ids, train, rng)
+        teacher exists), beta * KL against the teacher's (n, old width)
+        rows, padded to the head's width, on the others (CE plus the row's
+        constant negative entropy)."""
         rows, real, n = _flat_rows(hidden, lengths)
         width = len(self.tag_list)
         targets, entity = _gold_rows(batch_gold, current_types, self.tag_list, n, lengths)
@@ -287,16 +267,15 @@ class ExtendNerTagger(EncoderModel):
             padded = [pad_distilled_distribution(d, width, self.pad_constant) for d in distilled]
             taught = kd > 0.0
             targets[taught] = _reference_rows(padded, width, n, lengths)[taught]
-        loss = nc.softmax_cross_entropy(
+        return nc.softmax_cross_entropy(
             self._logits(rows), targets, alpha * (real - kd) + beta * kd
         ) + beta * (kd * _neg_entropy(targets)).sum()
-        return nc.mul(loss, 1.0 / len(lengths))
 
     def _probs(self, batch_ids: Sequence[Sequence[int]], types: Sequence[str]) -> np.ndarray:
         """(B, n, width) softmax rows of an equal-length batch over the
         whole tag set, which covers ``types``."""
         hidden, _ = self._encode(batch_ids)
-        return nc.softmax(self._logits(hidden), axis=-1).data
+        return stable_softmax(self._logits(hidden).data)
 
     def _decode(self, probs: np.ndarray) -> list:
         tag_list = self.tag_list

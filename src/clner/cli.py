@@ -84,8 +84,12 @@ def write_manifest(out_dir, command: str, inputs: dict, config: dict | None = No
 
 def parse_config_file(path) -> dict[str, str]:
     """Flat key = value lines; # starts a comment."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise UsageError(f"invalid config file {path}: {e}") from None
     out: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -94,6 +98,14 @@ def parse_config_file(path) -> dict[str, str]:
         key, value = stripped.split("=", 1)
         out[key.strip()] = value.strip()
     return out
+
+
+def _out_dir(out: str, *inputs) -> Path:
+    """``--out`` as a path; one that resolves to an input directory would
+    be overwritten, so it is a usage error."""
+    if any(Path(out).resolve() == Path(i).resolve() for i in inputs if i):
+        raise UsageError(f"--out {out} is also an input directory")
+    return Path(out)
 
 
 def _int_list(text: str) -> list[int]:
@@ -109,6 +121,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def cmd_synthesize(args) -> int:
+    _out_dir(args.out, args.corpus)
     if args.kind == "toy":
         spec = cldata.default_toy_spec(args.sentences, args.nesting)
         corpus = cldata.generate_toy_corpus(spec, seed=args.seed)
@@ -183,10 +196,10 @@ def _effective_config(args) -> tuple[RunConfig, list[int]]:
 
 
 def cmd_train(args) -> int:
+    out_root = _out_dir(args.out, args.benchmark)
     bench = cldata.load_benchmark(args.benchmark)
     config, seeds = _effective_config(args)
     runner = {"cl": run_cl, "noncl": run_noncl}[args.mode]
-    out_root = Path(args.out)
     summary_rows = []
     for seed in seeds:
         result = runner(dataclasses.replace(config, seed=seed), bench, run_path(out_root, seed))
@@ -217,16 +230,30 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# what report reads from a train manifest: key -> (description, check);
+# type(v) is int refuses JSON booleans, which isinstance(v, int) accepts
+_TRAIN_FIELDS = {
+    "command": ("'train'", lambda v: v == "train"),
+    "config": ("an object with a string 'model'",
+               lambda v: isinstance(v, dict) and isinstance(v.get("model"), str)),
+    "mode": ("'cl' or 'noncl'", lambda v: v in ("cl", "noncl")),
+    "seeds": ("a list of integers",
+              lambda v: isinstance(v, list) and all(type(s) is int for s in v)),
+    "benchmark_kind": ("a string", lambda v: isinstance(v, str)),
+    "benchmark_setup": ("a string", lambda v: isinstance(v, str)),
+    "benchmark_steps": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
+    "benchmark_permutation": ("an integer", lambda v: type(v) is int),
+}
+
+
 def _train_manifest(root: Path) -> dict:
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise CorpusError(f"{root}: not a train output directory (no manifest.json)")
-    manifest = cldata.read_manifest(manifest_path, (
-        "command", "config", "mode", "seeds", "benchmark_kind", "benchmark_setup",
-        "benchmark_steps", "benchmark_permutation",
-    ))
-    if manifest["command"] != "train":
-        raise CorpusError(f"{root}: manifest is not from a train command")
+    manifest = cldata.read_manifest(manifest_path, tuple(_TRAIN_FIELDS))
+    for key, (wanted, check) in _TRAIN_FIELDS.items():
+        if not check(manifest[key]):
+            raise CorpusError(f"{manifest_path}: {key!r} must be {wanted}, got {manifest[key]!r}")
     return manifest
 
 
@@ -240,6 +267,7 @@ def _median(values) -> float | None:
 
 
 def cmd_report(args) -> int:
+    out = _out_dir(args.out, *args.runs)
     roots = [Path(r) for r in args.runs]
     manifests = [_train_manifest(root) for root in roots]
     identities = {
@@ -302,7 +330,6 @@ def cmd_report(args) -> int:
                 f"Δ {_fmt_pct(gap)}"
             )
     report_text = "\n".join(lines) + "\n"
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.txt").write_text(report_text, encoding="utf-8")
     write_table(

@@ -91,6 +91,13 @@ def length_mask(lengths: np.ndarray, n: int) -> np.ndarray:
     return (np.arange(n)[None, :] < np.asarray(lengths)[:, None]).astype(np.float64)
 
 
+# the encoder's parameter attributes; each is checkpointed as "encoder.{name}"
+_ENCODER_PARAMETERS = (
+    "tok_emb", "pos_emb", "w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o", "b_o",
+    "ln_gain", "ln_bias",
+)
+
+
 class TransformerEncoder:
     """Single attention layer producing one contextual vector per token."""
 
@@ -111,23 +118,7 @@ class TransformerEncoder:
         self.ln_bias = nc.parameter(np.zeros(d))
 
     def named_parameters(self) -> dict[str, nc.Tensor]:
-        return {
-            "encoder.tok_emb": self.tok_emb,
-            "encoder.pos_emb": self.pos_emb,
-            "encoder.w_q": self.w_q,
-            "encoder.b_q": self.b_q,
-            "encoder.w_k": self.w_k,
-            "encoder.b_k": self.b_k,
-            "encoder.w_v": self.w_v,
-            "encoder.b_v": self.b_v,
-            "encoder.w_o": self.w_o,
-            "encoder.b_o": self.b_o,
-            "encoder.ln_gain": self.ln_gain,
-            "encoder.ln_bias": self.ln_bias,
-        }
-
-    def parameters(self) -> list[nc.Tensor]:
-        return list(self.named_parameters().values())
+        return {f"encoder.{name}": getattr(self, name) for name in _ENCODER_PARAMETERS}
 
     def encode(
         self,
@@ -175,13 +166,15 @@ class TransformerEncoder:
 class EncoderModel:
     """What the span model and the taggers share: an encoder, the
     registered ``types`` and their growth, checkpoints written from
-    ``state_arrays`` and restored by ``load_arrays``, the one-sentence
-    loss as a batch of one, and graph-free inference with one forward
-    pass per sentence length. A subclass defines only its heads
-    (``_add_heads``, ``head_named``), its ``batch_loss``, ``_probs`` (an
-    equal-length batch -> each sentence's probabilities over the given
-    types, which are also the teacher's labels) and ``_decode`` (one
-    sentence's probabilities -> its (start, end, type, score) spans)."""
+    ``state_arrays`` and restored by ``load_arrays``, the loss contract
+    (``batch_loss``, and ``sentence_loss`` as a batch of one), and
+    graph-free inference with one forward pass per sentence length. A
+    subclass defines only its heads (``_add_heads``, ``head_named``),
+    ``_loss_sum`` (encoded batch -> the sum of its sentences' losses),
+    ``_probs`` (an equal-length batch -> each sentence's probabilities
+    over the given types, which are also the teacher's labels) and
+    ``_decode`` (one sentence's probabilities -> its (start, end, type,
+    score) spans)."""
 
     def __init__(self, encoder: TransformerEncoder):
         self.encoder = encoder
@@ -240,17 +233,32 @@ class EncoderModel:
         trains."""
         return self._by_length(sentences_ids, lambda batch: self._probs(batch, old_types))
 
-    def head_named(self) -> dict[str, nc.Tensor]:
-        raise NotImplementedError
-
     def named_parameters(self) -> dict[str, nc.Tensor]:
         return self.encoder.named_parameters() | self.head_named()
 
     def encoder_parameters(self) -> list[nc.Tensor]:
-        return self.encoder.parameters()
+        return list(self.encoder.named_parameters().values())
 
     def head_parameters(self) -> list[nc.Tensor]:
         return list(self.head_named().values())
+
+    def batch_loss(
+        self,
+        batch_ids: Sequence[Sequence[int]],
+        batch_gold: Sequence[Iterable],
+        current_types: Sequence[str],
+        distilled: Sequence | None,
+        alpha: float,
+        beta: float,
+        train: bool,
+        rng: np.random.Generator | None,
+    ) -> nc.Tensor:
+        """The loss contract: each sentence's loss, summed over its cells
+        by ``_loss_sum``, averaged over the batch only. ``distilled`` holds
+        each sentence's teacher labels, or is None without a teacher."""
+        hidden, lengths = self._encode(batch_ids, train, rng)
+        loss = self._loss_sum(hidden, lengths, batch_gold, current_types, distilled, alpha, beta)
+        return nc.mul(loss, 1.0 / len(lengths))
 
     def sentence_loss(
         self,
@@ -275,15 +283,18 @@ class EncoderModel:
         return {name: p.data for name, p in self.named_parameters().items()}
 
     def load_arrays(self, arrays: Mapping[str, np.ndarray]) -> None:
-        params = self.named_parameters()
-        missing = set(params) - set(arrays)
+        """Copy checkpoint arrays into the ``state_arrays`` views. Every
+        name and shape is checked first, so a refused load changes
+        nothing."""
+        views = self.state_arrays()
+        missing = set(views) - set(arrays)
         if missing:
             raise ValueError(f"checkpoint missing parameters: {sorted(missing)}")
-        for name, tensor in params.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != tensor.shape:
+        for name, view in views.items():
+            if np.shape(arrays[name]) != view.shape:
                 raise ValueError(
-                    f"checkpoint shape {arr.shape} for {name} does not match "
-                    f"model shape {tensor.shape}"
+                    f"checkpoint shape {np.shape(arrays[name])} for {name} does not match "
+                    f"model shape {view.shape}"
                 )
-            tensor.data = arr.copy()
+        for name, view in views.items():
+            view[...] = arrays[name]

@@ -22,8 +22,6 @@ from clner.numcore.tensor import (
     no_grad,
     parameter,
     reshape,
-    sigmoid,
-    softmax,
     softmax_cross_entropy,
     span_scores,
     tensor,
@@ -51,8 +49,6 @@ __all__ = [
     "parameter",
     "reshape",
     "save_checkpoint",
-    "sigmoid",
-    "softmax",
     "softmax_cross_entropy",
     "span_scores",
     "tensor",

@@ -18,11 +18,6 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible for an op."""
 
 
-def _as_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    return arr
-
-
 class Tensor:
     """Dense float64 array with an optional gradient accumulator.
 
@@ -37,7 +32,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backprop")
 
     def __init__(self, values, requires_grad: bool = False):
-        self.data = _as_array(values)
+        self.data = np.asarray(values, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -229,35 +224,6 @@ def mul(a, b) -> Tensor:
     return _broadcast_binary(
         a, b, np.multiply, lambda g: g * b.data, lambda g: g * a.data, "mul"
     )
-
-
-def _stable_sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
-    """1 / (1 + e^-x) where x >= 0 and e^x / (1 + e^x) elsewhere, from
-    one e = exp(-|x|) (computed unless given), which never overflows."""
-    e = np.exp(-np.abs(x)) if e is None else e
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def sigmoid(x) -> Tensor:
-    x = _lift(x)
-    s = _stable_sigmoid(x.data)
-
-    def backprop(grad):
-        _accumulate(x, grad * s * (1.0 - s))
-
-    return _make(s, (x,), backprop)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    x = _lift(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
-
-    def backprop(g):
-        _accumulate(x, (g - (g * s).sum(axis=axis, keepdims=True)) * s)
-
-    return _make(s, (x,), backprop)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -490,6 +456,21 @@ def span_scores(
 # ---------------------------------------------------------------------------
 
 
+def stable_sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + e^-x) where x >= 0 and e^x / (1 + e^x) elsewhere, from
+    one e = exp(-|x|) (computed unless given), which never overflows. An
+    array function: inference applies it to logits without a graph."""
+    e = np.exp(-np.abs(x)) if e is None else e
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def stable_softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis after shifting by its maximum; an
+    array function, like ``stable_sigmoid``."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def bce_with_logits(logits: Tensor, targets: np.ndarray, weights: np.ndarray | None = None) -> Tensor:
     """Weighted sum of per-cell binary cross entropy, in the stable logit
     form softplus(z) - t*z. ``targets`` are soft labels in [0, 1] (a
@@ -509,7 +490,7 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray, weights: np.ndarray | N
     data = np.asarray((w * (np.maximum(z, 0.0) + np.log1p(ez) - t * z)).sum())
 
     def backprop(grad):
-        _accumulate(logits, grad * w * (_stable_sigmoid(z, ez) - t))
+        _accumulate(logits, grad * w * (stable_sigmoid(z, ez) - t))
 
     return _make(data, (logits,), backprop)
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from clner import numcore as nc
 from clner.encoder import EncoderModel, TransformerEncoder, fan_in_uniform, length_mask
+from clner.numcore.tensor import stable_sigmoid
 
 DEFAULT_SPAN_DIM = 50
 DEFAULT_THRESHOLD = 0.5
@@ -236,37 +237,17 @@ class SpanKLModel(EncoderModel):
                 arrays[f"heads.{t}.{part}"] = stacked[k, 0] if part.endswith("_b") else stacked[k]
         return arrays
 
-    def load_arrays(self, arrays: Mapping[str, np.ndarray]) -> None:
-        stacked = dict(arrays)
-        names = [f"heads.{t}.{part}" for part in _HEAD_PARTS for t in self.types]
-        missing = [name for name in names if name not in arrays]
-        if missing:
-            raise ValueError(f"checkpoint missing parameters: {sorted(missing)}")
-        for part in _HEAD_PARTS:
-            per_type = [np.asarray(arrays[f"heads.{t}.{part}"], dtype=np.float64) for t in self.types]
-            if part.endswith("_b"):
-                per_type = [b[None, :] for b in per_type]
-            stacked[f"heads.{part}"] = (
-                np.stack(per_type) if per_type else getattr(self, part).data
-            )
-        super().load_arrays(stacked)
-
     # -- forward paths -----------------------------------------------------
-    def _scores(
-        self,
-        batch_ids: Sequence[Sequence[int]],
-        types: Iterable[str] | None = None,
-        train: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> tuple[list[str], nc.Tensor, np.ndarray]:
-        """Score a padded batch: the wanted types (default: all), their
-        (B, T, n, n) logits and the (B,) sentence lengths."""
+    def _span_scores(
+        self, hidden: nc.Tensor, types: Iterable[str] | None = None
+    ) -> tuple[list[str], nc.Tensor]:
+        """Score encoded (B, n, d) vectors: the wanted types (default:
+        all) and their (B, T, n, n) logits."""
         wanted = list(self.types if types is None else types)
         rows = [self.types.index(t) for t in wanted]
         picked = None if rows == list(range(len(self.types))) else np.array(rows, dtype=np.int64)
         heads = [getattr(self, part) for part in _HEAD_PARTS]
-        hidden, lengths = self._encode(batch_ids, train, rng)
-        return wanted, span_logits(hidden, *heads, picked), lengths
+        return wanted, span_logits(hidden, *heads, picked)
 
     def logits(
         self,
@@ -277,7 +258,8 @@ class SpanKLModel(EncoderModel):
     ) -> dict[str, nc.Tensor]:
         """Per-type (n, n) logit matrices of one sentence: views of the
         batch-of-one stacked scores."""
-        wanted, logits, _ = self._scores([token_ids], types, train, rng)
+        hidden, _ = self._encode([token_ids], train, rng)
+        wanted, logits = self._span_scores(hidden, types)
         return {t: logits[0, k] for k, t in enumerate(wanted)}
 
     def _probs(
@@ -285,24 +267,16 @@ class SpanKLModel(EncoderModel):
     ) -> list[dict[str, np.ndarray]]:
         """Per sentence of an equal-length batch (no padding, so no key
         mask): each wanted type's (n, n) sigmoid probabilities."""
-        wanted, logits, _ = self._scores(batch_ids, types)
-        return [dict(zip(wanted, p)) for p in nc.sigmoid(logits).data]
+        wanted, logits = self._span_scores(self._encode(batch_ids)[0], types)
+        return [dict(zip(wanted, p)) for p in stable_sigmoid(logits.data)]
 
-    def batch_loss(
-        self,
-        batch_ids: Sequence[Sequence[int]],
-        batch_gold: Sequence[Iterable],
-        current_types: Sequence[str],
-        distilled: Sequence[Mapping[str, np.ndarray]] | None,
-        alpha: float,
-        beta: float,
-        train: bool,
-        rng: np.random.Generator | None,
-    ) -> nc.Tensor:
-        """Mean over the batch of each sentence's alpha * BCE over current
+    def _loss_sum(self, hidden, lengths, batch_gold, current_types, distilled, alpha, beta):
+        """Sum over the batch of each sentence's alpha * BCE over current
         types + beta * KL over old types, each summed over the sentence's
-        upper-triangle cells. The KD term is absent when no distilled
-        labels exist (first step or disabled distillation)."""
+        upper-triangle cells; a sentence's distilled labels map each old
+        type to its (n, n) teacher probabilities. The KD term is absent
+        when no distilled labels exist (first step or disabled
+        distillation)."""
         current = set(current_types)
         unknown = current - set(self.types)
         if unknown:
@@ -310,17 +284,16 @@ class SpanKLModel(EncoderModel):
         old_types = [t for t in self.types if t not in current]
         use_kd = distilled is not None and bool(old_types)
         needed = [t for t in self.types if t in current or use_kd]
-        wanted, logits, lengths = self._scores(batch_ids, needed, train, rng)
+        wanted, logits = self._span_scores(hidden, needed)
         golds = []
         for spans in batch_gold:
             by_type: dict[str, list[tuple[int, int]]] = {}
             for span in spans:
                 by_type.setdefault(span[2], []).append((span[0], span[1]))
             golds.append(by_type)
-        loss = objective(
+        return objective(
             logits, lengths, wanted, current_types, golds, distilled if use_kd else None, alpha, beta
         )
-        return nc.mul(loss, 1.0 / len(lengths))
 
     def _decode(self, probs: Mapping[str, np.ndarray]) -> list:
         """Mutually non-overlapping spans above the threshold."""
@@ -337,8 +310,8 @@ class SpanKLModel(EncoderModel):
         overlapping mentions; flat aggregation is a separate post-step."""
         thr = self.threshold if threshold is None else threshold
         with nc.no_grad():
-            wanted, logits, _ = self._scores([token_ids], types)
-            probs = nc.sigmoid(logits).data[0]
+            wanted, logits = self._span_scores(self._encode([token_ids])[0], types)
+        probs = stable_sigmoid(logits.data[0])
         t, i, j, score = _upper_cells(probs, thr)
         return [
             (int(a) + 1, int(b) + 1, wanted[c], float(s)) for c, a, b, s in zip(t, i, j, score)

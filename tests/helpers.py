@@ -73,11 +73,42 @@ def assert_gradients_match(build_loss, params, tol=1e-4, h=1e-5):
 
 # -- the composed graph that the fused layer ops replace -----------------
 #
-# ``permute``, ``gather_rows`` and ``layer_norm`` are the engine's former
-# primitive ops, kept as oracles: ``reference_encode`` and
+# ``permute``, ``gather_rows``, ``layer_norm`` and ``softmax`` are the
+# engine's former primitive ops, kept as oracles: ``reference_encode`` and
 # ``reference_span_logits`` build from them (and the engine's remaining
 # primitives) the graph that ``nc.embed``, ``nc.attention_block`` and
 # ``nc.span_scores`` must reproduce bit for bit, values and gradients.
+# ``sigmoid`` is one too: the tests differentiate through it and through
+# ``softmax``, which the engine computes only as the array functions
+# ``stable_sigmoid`` and ``stable_softmax`` of ``clner.numcore.tensor``.
+
+
+def sigmoid(x):
+    """``stable_sigmoid`` as an autodiff op."""
+    from clner.numcore.tensor import _accumulate, _lift, _make, stable_sigmoid
+
+    x = _lift(x)
+    s = stable_sigmoid(x.data)
+
+    def backprop(grad):
+        _accumulate(x, grad * s * (1.0 - s))
+
+    return _make(s, (x,), backprop)
+
+
+def softmax(x, axis=-1):
+    """Softmax along ``axis`` as an autodiff op; over the last axis its
+    values are ``stable_softmax``'s, bit for bit."""
+    from clner.numcore.tensor import _accumulate, _lift, _make
+
+    x = _lift(x)
+    e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
+    s = e / e.sum(axis=axis, keepdims=True)
+
+    def backprop(g):
+        _accumulate(x, (g - (g * s).sum(axis=axis, keepdims=True)) * s)
+
+    return _make(s, (x,), backprop)
 
 
 def permute(x, axes):
@@ -170,7 +201,7 @@ def reference_attention_block(
     if lengths is not None and min(lengths) < n:
         keys = (np.arange(n)[None, :] < np.asarray(lengths)[:, None]).astype(np.float64)
         scores = scores + np.where(keys[:, None, None, :] > 0.0, 0.0, -np.inf)
-    attn = nc.softmax(scores, axis=-1)
+    attn = softmax(scores, axis=-1)
     merged = nc.reshape(permute(nc.matmul(attn, v), (0, 2, 1, 3)), (batch, n, d))
     hidden = layer_norm(e + (nc.matmul(merged, w_o) + b_o), gain, bias)
     return hidden if keep is None else hidden * keep

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,36 @@ class TestSynthesize:
         assert "corpus lacks coarse groups: ['art']" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("damage", ["three-column-row", "no-test-file"])
+    def test_damaged_corpus_dir_is_data_error(self, tmp_path, capsys, damage):
+        corpus = write_kind_corpus(tmp_path / "corpus", list(ONTONOTES_TYPES))
+        if damage == "three-column-row":
+            dev = corpus / "dev.txt"
+            dev.write_text(dev.read_text(encoding="utf-8").replace("\n", "\tX\n", 1), encoding="utf-8")
+            message = f"{dev}:1: expected 'token<TAB>tag'"
+        else:
+            (corpus / "test.txt").unlink()
+            message = f"corpus directory {corpus} is missing test.txt"
+        out = tmp_path / "bench"
+        code = main(
+            ["synthesize", "--kind", "ontonotes", "--setup", "split-all",
+             "--corpus", str(corpus), "--out", str(out)]
+        )
+        assert code == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_that_is_the_corpus_is_usage_error(self, tmp_path, capsys):
+        corpus = write_kind_corpus(tmp_path / "corpus", list(ONTONOTES_TYPES))
+        before = tree_bytes(corpus)
+        code = main(
+            ["synthesize", "--kind", "ontonotes", "--setup", "split-all",
+             "--corpus", str(corpus), "--out", str(corpus / ".")]
+        )
+        assert code == EXIT_USAGE
+        assert "is also an input directory" in capsys.readouterr().err
+        assert tree_bytes(corpus) == before
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [
@@ -287,6 +318,7 @@ class TestTrain:
             ["--beta", "inf"],
             ["--model", "extendner", "--set", "pad_constant=nan"],
             ["--model", "extendner", "--set", "pad_constant=inf"],
+            ["--config", "no-such-dir/no-such-config.cfg"],
         ],
         ids=lambda extra: " ".join(extra),
     )
@@ -297,6 +329,14 @@ class TestTrain:
         assert code == EXIT_USAGE
         assert "invalid config" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_out_that_is_the_benchmark_is_usage_error(self, tmp_path, capsys):
+        bench = synth(tmp_path)
+        before = tree_bytes(bench)
+        code = main(["train", "--benchmark", str(bench), "--out", str(bench)] + TRAIN_FAST)
+        assert code == EXIT_USAGE
+        assert "is also an input directory" in capsys.readouterr().err
+        assert tree_bytes(bench) == before
 
     def test_non_finite_loss_is_runtime_error(self, tmp_path, capsys, monkeypatch):
         bench = synth(tmp_path)
@@ -598,19 +638,44 @@ class TestReport:
         code = main(["report", str(cl_out), str(out), "--out", str(tmp_path / "repx")])
         assert code == EXIT_DATA
 
-    @pytest.mark.parametrize("damage", ["truncated", "missing-key"])
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "truncated", "missing-key", "seeds=1", 'seeds=["1"]', "seeds=[true]", "config={}",
+            'config={"model": 3}', "config=[]", 'mode="both"', "benchmark_steps=0",
+            'benchmark_steps="3"', "benchmark_permutation=1.5", "benchmark_kind=[]",
+        ],
+    )
     def test_malformed_train_manifest_is_data_error(self, trained, tmp_path, capsys, damage):
         _, cl_out, _ = trained
         run = tmp_path / "run"
         (run / "run_s1").mkdir(parents=True)
         (run / "manifest.json").write_bytes((cl_out / "manifest.json").read_bytes())
-        truncate_or_drop(run / "manifest.json", damage, "seeds")
+        key, _, value = damage.partition("=")
+        if value:
+            manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+            manifest[key] = json.loads(value)
+            (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        else:
+            key = "seeds"
+            truncate_or_drop(run / "manifest.json", damage, key)
         code = main(["report", str(run), "--out", str(tmp_path / "rep")])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert str(run / "manifest.json") in err
-        assert ("'seeds'" in err) == (damage == "missing-key")
+        assert (f"'{key}'" in err) == (damage != "truncated")
         assert not (tmp_path / "rep").exists()
+
+    def test_out_that_is_an_input_is_usage_error(self, trained, tmp_path, capsys):
+        _, cl_out, nc_out = trained
+        run = tmp_path / "cl"
+        shutil.copytree(cl_out, run)
+        before = tree_bytes(run)
+        code = main(["report", str(nc_out), str(run), "--out", str(run / ".")])
+        assert code == EXIT_USAGE
+        assert "is also an input directory" in capsys.readouterr().err
+        assert tree_bytes(run) == before
+        assert main(["report", str(run), str(nc_out), "--out", str(tmp_path / "rep")]) == EXIT_OK
 
     def test_report_on_non_run_dir_is_data_error(self, tmp_path):
         code = main(["report", str(tmp_path), "--out", str(tmp_path / "rep")])

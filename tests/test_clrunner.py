@@ -29,7 +29,7 @@ from clner.clrunner import (
 from clner.encoder import TransformerEncoder, Vocab
 from clner.metrics import Counts, StepEval, TypeScore
 from clner.spankl import SpanKLModel
-from helpers import reference_encode, reference_span_scores
+from helpers import reference_encode, reference_span_scores, sigmoid
 
 
 TINY = dict(
@@ -164,7 +164,7 @@ class TestRunCl:
             with nc.no_grad():
                 logits = model.logits(vocab.encode(sent.tokens))
             for t, m in b["matrices"].items():
-                np.testing.assert_array_equal(np.array(m), nc.sigmoid(logits[t]).data)
+                np.testing.assert_array_equal(np.array(m), sigmoid(logits[t]).data)
 
     def test_resume_reproduces_teacher_cache(self, bench, tmp_path):
         out = tmp_path / "run"

@@ -83,3 +83,60 @@ class TestEncode:
         base = enc.encode([1, 2, 3], train=False).data
         dropped = enc.encode([1, 2, 3], train=True, rng=np.random.default_rng(0)).data
         assert not np.allclose(base, dropped)
+
+
+class TestLoadArrays:
+    """``EncoderModel.load_arrays`` checks every checkpoint entry against
+    ``state_arrays`` before it copies any, so a refused load leaves the
+    model as it was, and the error names the checkpoint entry."""
+
+    @staticmethod
+    def grown(kind):
+        from clner.baselines import ExtendNerTagger
+        from clner.spankl import SpanKLModel
+
+        build = {"spankl": lambda enc: SpanKLModel(enc, d_span=4), "extendner": ExtendNerTagger}
+        model = build[kind](small_encoder())
+        model.grow(["A", "B"], np.random.default_rng(1))
+        return model
+
+    @pytest.mark.parametrize(
+        "kind, damaged, shape, message",
+        [
+            pytest.param("spankl", ["heads.B.end_w"], None,
+                         "checkpoint missing parameters: ['heads.B.end_w']", id="spankl-missing"),
+            pytest.param("spankl", ["heads.B.end_w"], (16, 5),
+                         "(16, 5) for heads.B.end_w does not match", id="spankl-one-type-shape"),
+            pytest.param("spankl", ["heads.A.end_w", "heads.B.end_w"], (16, 5),
+                         "(16, 5) for heads.A.end_w does not match", id="spankl-every-type-shape"),
+            pytest.param("spankl", ["heads.B.start_b"], (1, 4),
+                         "(1, 4) for heads.B.start_b does not match", id="spankl-bias-shape"),
+            pytest.param("extendner", ["head.b"], None,
+                         "checkpoint missing parameters: ['head.b']", id="extendner-missing"),
+            pytest.param("extendner", ["head.w"], (16, 4),
+                         "(16, 4) for head.w does not match", id="extendner-shape"),
+        ],
+    )
+    def test_refused_load_changes_nothing(self, kind, damaged, shape, message):
+        model = self.grown(kind)
+        before = {name: arr.copy() for name, arr in model.state_arrays().items()}
+        arrays = {name: arr + 1.0 for name, arr in before.items()}
+        for name in damaged:
+            if shape is None:
+                del arrays[name]
+            else:
+                arrays[name] = np.ones(shape)
+        with pytest.raises(ValueError) as refused:
+            model.load_arrays(arrays)
+        assert message in str(refused.value)
+        for name, arr in model.state_arrays().items():
+            np.testing.assert_array_equal(arr, before[name], err_msg=name)
+
+    @pytest.mark.parametrize("kind", ["spankl", "extendner"])
+    def test_load_copies_every_entry(self, kind):
+        model = self.grown(kind)
+        arrays = {name: arr + 1.0 for name, arr in model.state_arrays().items()}
+        model.load_arrays(arrays)
+        for name, arr in model.state_arrays().items():
+            np.testing.assert_array_equal(arr, arrays[name], err_msg=name)
+            assert not np.shares_memory(arr, arrays[name]), name

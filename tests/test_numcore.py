@@ -8,6 +8,7 @@ import pytest
 
 from clner import numcore as nc
 from clner.encoder import EncoderConfig, TransformerEncoder
+from clner.numcore.tensor import stable_softmax
 from clner.spankl import SpanKLModel
 from helpers import (
     PerParameterAdamW,
@@ -23,6 +24,8 @@ from helpers import (
     reference_attention_block,
     reference_embed,
     reference_span_scores,
+    sigmoid,
+    softmax,
     total,
     two_branch_sigmoid,
 )
@@ -30,13 +33,13 @@ from helpers import (
 
 class TestForwardValues:
     def test_sigmoid_at_zero(self):
-        assert nc.sigmoid(nc.tensor(0.0)).item() == 0.5
+        assert sigmoid(nc.tensor(0.0)).item() == 0.5
 
     def test_sigmoid_equals_the_two_branch_form_bitwise(self):
         rng = np.random.default_rng(1)
         extremes = [0.0, -0.0, 5e-324, -5e-324, 36.7, -36.7, 709.0, -745.2, 800.0, -800.0]
         for x in (rng.normal(scale=8.0, size=(2, 6, 40, 40)), np.array(extremes + [np.inf, -np.inf])):
-            got = nc.sigmoid(x).data
+            got = sigmoid(x).data
             np.testing.assert_array_equal(got, two_branch_sigmoid(x))
             assert np.array_equal(np.signbit(got), np.signbit(two_branch_sigmoid(x)))
 
@@ -47,8 +50,18 @@ class TestForwardValues:
         np.testing.assert_array_equal(out.data, a)
 
     def test_softmax_uniform(self):
-        out = nc.softmax(nc.tensor([1.0, 1.0, 1.0]))
+        out = softmax(nc.tensor([1.0, 1.0, 1.0]))
         np.testing.assert_allclose(out.data, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
+
+    def test_stable_softmax_is_the_softmax_forward_over_the_last_axis(self):
+        """The array function of the taggers' inference: bit for bit the
+        former op's forward, finite where exp of a logit overflows."""
+        x = np.random.default_rng(2).normal(scale=8.0, size=(3, 5, 7))
+        x[0, 0] += 1000.0
+        got = stable_softmax(x)
+        np.testing.assert_array_equal(got, softmax(nc.tensor(x)).data)
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(nc.ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
@@ -84,7 +97,7 @@ class TestBackwardBasics:
 
     def test_sigmoid_derivative_at_zero(self):
         w = nc.parameter(0.0)
-        loss = nc.sigmoid(w)
+        loss = sigmoid(w)
         loss.backward()
         assert w.grad == pytest.approx(0.25)
 
@@ -120,14 +133,14 @@ class TestGradientsMatchFiniteDifferences:
 
     def test_matmul(self):
         a, b = self.param(3, 4), self.param(4, 2)
-        assert_gradients_match(lambda: total(nc.sigmoid(nc.matmul(a, b))), [a, b])
+        assert_gradients_match(lambda: total(sigmoid(nc.matmul(a, b))), [a, b])
 
     def test_batched_matmul_broadcast(self):
         # leading axes broadcast both ways: (2, 1, 3, 4) @ (5, 4, 2)
         a, b = self.param(2, 1, 3, 4), self.param(5, 4, 2)
-        assert_gradients_match(lambda: total(nc.sigmoid(nc.matmul(a, b))), [a, b])
+        assert_gradients_match(lambda: total(sigmoid(nc.matmul(a, b))), [a, b])
         c = self.param(4, 3)
-        assert_gradients_match(lambda: total(nc.sigmoid(nc.matmul(a, c))), [a, c])
+        assert_gradients_match(lambda: total(sigmoid(nc.matmul(a, c))), [a, c])
 
     def test_reshape_and_permute(self):
         x = self.param(2, 3, 4)
@@ -135,13 +148,13 @@ class TestGradientsMatchFiniteDifferences:
 
         def loss():
             moved = permute(nc.reshape(x, (2, 3, 2, 2)), (3, 0, 2, 1))
-            return total(nc.mul(nc.sigmoid(nc.reshape(moved, (4, 2, 3))), weights))
+            return total(nc.mul(sigmoid(nc.reshape(moved, (4, 2, 3))), weights))
 
         assert_gradients_match(loss, [x])
 
     def test_add_broadcast_bias(self):
         x, b = self.param(3, 4), self.param(4)
-        assert_gradients_match(lambda: total(nc.sigmoid(nc.add(x, b))), [x, b])
+        assert_gradients_match(lambda: total(sigmoid(nc.add(x, b))), [x, b])
 
     def test_mul_and_sub(self):
         """(a - b)^2, with a - b built as a + (-1) * b."""
@@ -161,7 +174,7 @@ class TestGradientsMatchFiniteDifferences:
         x = self.param(4, 5)
         for axis in (0, 1):
             assert_gradients_match(
-                lambda: total(nc.mul(nc.softmax(x, axis=axis), x)), [x]
+                lambda: total(nc.mul(softmax(x, axis=axis), x)), [x]
             )
 
     def test_transpose_slice_concat(self):
@@ -177,13 +190,13 @@ class TestGradientsMatchFiniteDifferences:
         table = self.param(6, 4)
         ids = [0, 3, 3, 5]
         assert_gradients_match(
-            lambda: total(nc.sigmoid(gather_rows(table, ids))), [table]
+            lambda: total(sigmoid(gather_rows(table, ids))), [table]
         )
 
     def test_layer_norm(self):
         x, g, b = self.param(4, 6), self.param(6), self.param(6)
         assert_gradients_match(
-            lambda: total(nc.sigmoid(layer_norm(x, g, b))), [x, g, b]
+            lambda: total(sigmoid(layer_norm(x, g, b))), [x, g, b]
         )
 
     def test_bce_with_logits(self):
@@ -262,9 +275,9 @@ class TestGradientsMatchFiniteDifferences:
         x = nc.tensor(self.rng.normal(size=(3, 5)))
 
         def loss():
-            h = nc.sigmoid(nc.add(nc.matmul(x, w1), b1))
+            h = sigmoid(nc.add(nc.matmul(x, w1), b1))
             out = nc.add(nc.matmul(h, w2), b2)
-            return total(nc.mul(nc.sigmoid(out), out))
+            return total(nc.mul(sigmoid(out), out))
 
         assert_gradients_match(loss, [w1, b1, w2, b2])
 
@@ -291,7 +304,7 @@ class TestFusedLayers:
         tok, pos = self.param(6, 4), self.param(5, 4)
         for ids in ([[0, 3, 3], [5, 3, 1]], [2, 2], [[1]]):
             assert_gradients_match(
-                lambda: total(nc.sigmoid(nc.embed(tok, pos, ids))), [tok, pos]
+                lambda: total(sigmoid(nc.embed(tok, pos, ids))), [tok, pos]
             )
 
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
@@ -320,7 +333,7 @@ class TestFusedLayers:
         hidden = self.param(2, n, 4)
         heads = [self.param(types, 4 if i % 2 == 0 else 1, 3) for i in range(4)]
         assert_gradients_match(
-            lambda: total(nc.sigmoid(nc.span_scores(hidden, *heads))), [hidden, *heads]
+            lambda: total(sigmoid(nc.span_scores(hidden, *heads))), [hidden, *heads]
         )
 
     def test_span_scores_gradients_of_picked_rows(self):
@@ -330,7 +343,7 @@ class TestFusedLayers:
         heads = [self.param(3, 4 if i % 2 == 0 else 1, 3) for i in range(4)]
         rows = np.array([2, 0])
         assert_gradients_match(
-            lambda: total(nc.sigmoid(nc.span_scores(hidden, *heads, rows))), [hidden, *heads]
+            lambda: total(sigmoid(nc.span_scores(hidden, *heads, rows))), [hidden, *heads]
         )
         assert all(not p.grad[1].any() for p in heads)
 
@@ -402,7 +415,7 @@ class TestDeterminism:
             rng = np.random.default_rng(42)
             w = nc.parameter(rng.normal(size=(4, 4)))
             x = nc.tensor(rng.normal(size=(3, 4)))
-            h = nc.mul(nc.softmax(nc.matmul(x, w), axis=1), (rng.random((3, 4)) >= 0.3) / 0.7)
+            h = nc.mul(softmax(nc.matmul(x, w), axis=1), (rng.random((3, 4)) >= 0.3) / 0.7)
             loss = total(nc.mul(h, h))
             loss.backward()
             return loss.item(), w.grad.copy()
@@ -430,8 +443,6 @@ class TestNoGrad:
             "matmul": lambda: nc.matmul(m, w),
             "add": lambda: nc.add(m, v),
             "mul": lambda: nc.mul(m, v),
-            "sigmoid": lambda: nc.sigmoid(m),
-            "softmax": lambda: nc.softmax(m, axis=-1),
             "reshape": lambda: nc.reshape(m, (4, 3)),
             "tensor_slice": lambda: nc.tensor_slice(m, np.array([2, 0])),
             "concat": lambda: nc.concat([m, m], axis=0),
@@ -471,7 +482,7 @@ class TestNoGrad:
 
     @staticmethod
     def records() -> bool:
-        return nc.sigmoid(nc.parameter(np.zeros(2))).requires_grad
+        return sigmoid(nc.parameter(np.zeros(2))).requires_grad
 
     def test_mode_restored_after_block_exception_and_nesting(self):
         with nc.no_grad():

@@ -15,6 +15,7 @@ from helpers import (
     bce_cell,
     bernoulli_kl_cell,
     greedy_decode_oracle,
+    sigmoid,
 )
 
 
@@ -393,7 +394,7 @@ class TestPredictNested:
         model = make_model(seed=10)
         model.grow(["PER", "ORG", "LOC"], np.random.default_rng(4))
         for ids in ([1, 2, 3, 4, 5], [7], [3, 3, 9, 2, 11, 4, 6, 8]):
-            probs = {t: nc.sigmoid(m).numpy() for t, m in model.logits(ids).items()}
+            probs = {t: sigmoid(m).numpy() for t, m in model.logits(ids).items()}
             thr = float(np.median(np.concatenate([p[np.triu_indices(len(ids))] for p in probs.values()])))
             want = [
                 (i + 1, j + 1, t, float(p[i, j]))

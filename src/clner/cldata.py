@@ -16,15 +16,17 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 log = logging.getLogger(__name__)
 
 SETUPS = ("split-all", "split-filter", "filter-all", "filter-filter")
+# the per-task corpus files of a benchmark directory, ``task_NN/SPLIT.txt``
+SPLITS = ("train", "dev", "test", "train_full", "dev_full")
 
 
 class CorpusError(Exception):
@@ -68,7 +70,6 @@ def coarse_of(fine: str) -> str:
 class Corpus:
     sentences: list[Sentence]
     inventory: tuple[str, ...] = ()
-    grouping: dict[str, str] = field(default_factory=dict)
     repair_count: int = 0
 
     def __post_init__(self):
@@ -76,8 +77,6 @@ class Corpus:
             self.inventory = tuple(
                 sorted({s.type for sent in self.sentences for s in sent.spans})
             )
-        for t in self.inventory:
-            self.grouping.setdefault(t, coarse_of(t))
         stray = {
             s.type for sent in self.sentences for s in sent.spans
         } - set(self.inventory)
@@ -138,16 +137,20 @@ def parse_sentence_block(rows: list[list[str]]) -> tuple[Sentence, int]:
     return Sentence(tokens, tuple(spans)), repairs
 
 
+def read_text(path) -> str:
+    """A UTF-8 file's text; a file that cannot be read or decoded is a
+    CorpusError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise CorpusError(f"cannot read {path}: {e}") from e
+
+
 def parse_corpus(path) -> Corpus:
     """Read a column file into a Corpus. Raises CorpusError with the line
     number for rows that are not exactly ``token<TAB>tag``."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise CorpusError(f"cannot read corpus file {path}: {e}") from e
     blocks: list[list[list[str]]] = [[]]
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             if blocks[-1]:
                 blocks.append([])
@@ -374,11 +377,7 @@ def split3(
     n_dev = int(round(fractions[1] * n))
     cuts = [order[:n_train], order[n_train : n_train + n_dev], order[n_train + n_dev :]]
     return tuple(
-        Corpus(
-            [corpus.sentences[i] for i in sorted(idx)],
-            inventory=corpus.inventory,
-            grouping=dict(corpus.grouping),
-        )
+        Corpus([corpus.sentences[i] for i in sorted(idx)], inventory=corpus.inventory)
         for idx in cuts
     )
 
@@ -419,8 +418,6 @@ class TaskSequence:
         return tuple(t for task in self.tasks[:step] for t in task.types)
 
 
-ONTONOTES_TYPES = ("ORG", "PER", "GPE", "DATE", "CARD", "NORP")
-
 ONTONOTES_ORDERS = (
     ("ORG", "PER", "GPE", "DATE", "CARD", "NORP"),
     ("DATE", "NORP", "PER", "CARD", "ORG", "GPE"),
@@ -428,11 +425,6 @@ ONTONOTES_ORDERS = (
     ("NORP", "ORG", "DATE", "PER", "GPE", "CARD"),
     ("CARD", "GPE", "NORP", "ORG", "PER", "DATE"),
     ("PER", "DATE", "CARD", "GPE", "NORP", "ORG"),
-)
-
-FEWNERD_COARSE = (
-    "location", "person", "organization", "other",
-    "product", "building", "art", "event",
 )
 
 FEWNERD_ORDERS = (
@@ -445,6 +437,10 @@ FEWNERD_ORDERS = (
     ("building", "other", "product", "person",
      "organization", "location", "art", "event"),
 )
+
+# each kind's type list, in its first published order
+ONTONOTES_TYPES = ONTONOTES_ORDERS[0]
+FEWNERD_COARSE = FEWNERD_ORDERS[0]
 
 
 def _chunk(order: Sequence, n_tasks: int) -> list[tuple]:
@@ -479,7 +475,7 @@ def permutations(
             raise ValueError("fewnerd permutations need a corpus for the fine types")
         fine_by_coarse: dict[str, list[str]] = {}
         for fine in corpus.inventory:
-            fine_by_coarse.setdefault(corpus.grouping[fine], []).append(fine)
+            fine_by_coarse.setdefault(coarse_of(fine), []).append(fine)
         missing = [c for c in FEWNERD_COARSE if c not in fine_by_coarse]
         if missing:
             raise SynthesisError(f"corpus lacks coarse groups: {missing}")
@@ -538,7 +534,6 @@ class SynthesizedBenchmark:
     seed: int
     sequence: TaskSequence
     inventory: tuple[str, ...]
-    grouping: dict[str, str]
     tasks: list[TaskData]
     vocab_tokens: list[str]
 
@@ -643,7 +638,6 @@ def synthesize(
         seed=seed,
         sequence=sequence,
         inventory=train.inventory,
-        grouping=dict(train.grouping),
         tasks=tasks,
         vocab_tokens=build_vocab_tokens(train, dev),
     )
@@ -654,19 +648,17 @@ def synthesize(
 # ---------------------------------------------------------------------------
 
 
-def save_benchmark(bench: SynthesizedBenchmark, out_dir) -> None:
-    """One directory per task (train/dev/test plus the full-annotation
-    train/dev used by non-CL runs), a vocabulary file, and a manifest."""
+def save_benchmark(bench: SynthesizedBenchmark, out_dir) -> dict:
+    """One directory per task with a file per split (train/dev/test plus
+    the full-annotation train/dev used by non-CL runs), a vocabulary file
+    and a manifest; returns the manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for l, task in enumerate(bench.tasks, start=1):
         task_dir = out / f"task_{l:02d}"
         task_dir.mkdir(exist_ok=True)
-        write_corpus(task_dir / "train.txt", task.train)
-        write_corpus(task_dir / "dev.txt", task.dev)
-        write_corpus(task_dir / "test.txt", task.test)
-        write_corpus(task_dir / "train_full.txt", task.train_full)
-        write_corpus(task_dir / "dev_full.txt", task.dev_full)
+        for split in SPLITS:
+            write_corpus(task_dir / f"{split}.txt", getattr(task, split))
     (out / "vocab.txt").write_text(
         "".join(t + "\n" for t in bench.vocab_tokens), encoding="utf-8"
     )
@@ -679,7 +671,7 @@ def save_benchmark(bench: SynthesizedBenchmark, out_dir) -> None:
             {"name": t.name, "types": list(t.types)} for t in bench.sequence.tasks
         ],
         "inventory": list(bench.inventory),
-        "grouping": dict(sorted(bench.grouping.items())),
+        "grouping": {t: coarse_of(t) for t in bench.inventory},
         "sentence_counts": [
             {"train": len(t.train), "dev": len(t.dev), "test": len(t.test)}
             for t in bench.tasks
@@ -688,21 +680,40 @@ def save_benchmark(bench: SynthesizedBenchmark, out_dir) -> None:
     (out / "benchmark.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
+    return manifest
 
 
-def read_manifest(path: Path, required: Sequence[str]) -> dict:
-    """A JSON-object manifest holding every required key; a file that
-    cannot be read or parsed, or lacks a key, is a CorpusError naming it."""
+def read_manifest(path: Path, fields: Mapping[str, tuple]) -> dict:
+    """A JSON-object manifest holding every key of ``fields``, a table of
+    key -> (description of a valid value, its check); a file that cannot
+    be read or parsed, a missing key or a value failing its check is a
+    CorpusError naming the file (and the key)."""
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as e:
+        manifest = json.loads(read_text(path))
+    except ValueError as e:
         raise CorpusError(f"{path}: unreadable manifest: {e}") from e
     if not isinstance(manifest, dict):
         raise CorpusError(f"{path}: manifest is not a JSON object")
-    missing = [key for key in required if key not in manifest]
+    missing = [key for key in fields if key not in manifest]
     if missing:
         raise CorpusError(f"{path}: manifest lacks {missing}")
+    for key, (wanted, check) in fields.items():
+        if not check(manifest[key]):
+            raise CorpusError(f"{path}: {key!r} must be {wanted}, got {manifest[key]!r}")
     return manifest
+
+
+# what a benchmark.json holds; type(v) is int refuses JSON booleans
+_BENCHMARK_FIELDS = {
+    "kind": ("a string", lambda v: isinstance(v, str)),
+    "setup": (f"one of {SETUPS}", lambda v: v in SETUPS),
+    "seed": ("an integer", lambda v: type(v) is int),
+    "permutation": ("an integer", lambda v: type(v) is int),
+    "tasks": ("a list", lambda v: isinstance(v, list)),
+    "inventory": ("a list of strings",
+                  lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v)),
+    "grouping": ("an object", lambda v: isinstance(v, dict)),
+}
 
 
 def load_benchmark(path) -> SynthesizedBenchmark:
@@ -710,9 +721,13 @@ def load_benchmark(path) -> SynthesizedBenchmark:
     manifest_path = root / "benchmark.json"
     if not manifest_path.exists():
         raise CorpusError(f"{root}: not a benchmark directory (no benchmark.json)")
-    manifest = read_manifest(
-        manifest_path, ("kind", "setup", "seed", "permutation", "tasks", "inventory", "grouping")
-    )
+    manifest = read_manifest(manifest_path, _BENCHMARK_FIELDS)
+    grouping = {t: coarse_of(t) for t in manifest["inventory"]}
+    if manifest["grouping"] != grouping:
+        raise CorpusError(
+            f"{manifest_path}: 'grouping' must map each inventory type to the part of its "
+            f"name before the first '-', got {manifest['grouping']!r}"
+        )
     try:
         sequence = TaskSequence(
             tuple(TaskSpec(t["name"], tuple(t["types"])) for t in manifest["tasks"]),
@@ -720,32 +735,20 @@ def load_benchmark(path) -> SynthesizedBenchmark:
         )
     except (KeyError, TypeError, ValueError) as e:
         raise CorpusError(f"{manifest_path}: bad task list: {e!r}") from e
-    inventory = tuple(manifest["inventory"])
-    grouping = dict(manifest["grouping"])
     tasks = []
-    for l in range(1, len(sequence) + 1):
+    for l, spec in enumerate(sequence.tasks, start=1):
         task_dir = root / f"task_{l:02d}"
-        tasks.append(
-            TaskData(
-                spec=sequence.tasks[l - 1],
-                train_full=parse_corpus(task_dir / "train_full.txt").sentences,
-                dev_full=parse_corpus(task_dir / "dev_full.txt").sentences,
-                train=parse_corpus(task_dir / "train.txt").sentences,
-                dev=parse_corpus(task_dir / "dev.txt").sentences,
-                test=parse_corpus(task_dir / "test.txt").sentences,
-            )
-        )
+        splits = {split: parse_corpus(task_dir / f"{split}.txt").sentences for split in SPLITS}
         for split in ("train", "train_full"):
-            if not getattr(tasks[-1], split):
+            if not splits[split]:
                 raise CorpusError(f"{task_dir / split}.txt: task {l} has no training sentences")
-    vocab_tokens = (root / "vocab.txt").read_text(encoding="utf-8").splitlines()
+        tasks.append(TaskData(spec, **splits))
     return SynthesizedBenchmark(
         kind=manifest["kind"],
         setup=manifest["setup"],
         seed=manifest["seed"],
         sequence=sequence,
-        inventory=inventory,
-        grouping=grouping,
+        inventory=tuple(manifest["inventory"]),
         tasks=tasks,
-        vocab_tokens=vocab_tokens,
+        vocab_tokens=read_text(root / "vocab.txt").splitlines(),
     )

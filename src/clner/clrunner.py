@@ -27,7 +27,7 @@ import numpy as np
 
 from clner import numcore as nc
 from clner.baselines import AddNerTagger, ExtendNerTagger
-from clner.cldata import CorpusError, Sentence, SynthesizedBenchmark
+from clner.cldata import SPLITS, CorpusError, Sentence, SynthesizedBenchmark, coarse_of, read_text
 from clner.encoder import EncoderConfig, TransformerEncoder, Vocab
 from clner.metrics import StepEval, evaluate_step
 from clner.spankl import SpanKLModel
@@ -223,7 +223,9 @@ class _Trainer:
         self.config = config
         self.bench = bench
         self.vocab = Vocab(bench.vocab_tokens)
-        self.grouping = bench.grouping if bench.kind == "fewnerd" else None
+        self.grouping = (
+            {t: coarse_of(t) for t in bench.inventory} if bench.kind == "fewnerd" else None
+        )
         self.out_dir = Path(out_dir) if out_dir is not None else None
         if self.out_dir is not None:
             self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -366,13 +368,12 @@ class _Trainer:
         (d / "predictions.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def check_lengths(bench: SynthesizedBenchmark, max_len: int, mode: str) -> None:
-    """Reject, before any training, a sentence the run would use that is
-    longer than the encoder's max_len; the error names the task, the
-    split and the 0-based sentence index."""
-    splits = ("train", "dev", "test") if mode == "cl" else ("train_full", "dev_full", "test")
+def check_lengths(bench: SynthesizedBenchmark, max_len: int) -> None:
+    """Reject, before any training, a sentence of any split of any task
+    that is longer than the encoder's max_len; the error names the task,
+    the split and the 0-based sentence index."""
     for l, task in enumerate(bench.tasks, start=1):
-        for split in splits:
+        for split in SPLITS:
             for idx, sent in enumerate(getattr(task, split)):
                 if len(sent.tokens) > max_len:
                     raise CorpusError(
@@ -389,7 +390,7 @@ def _run(mode: str, config: RunConfig, bench: SynthesizedBenchmark, out_dir=None
     tagger's teacher must be pre-extension). Non-CL builds a fresh model,
     which has no old types and so no teacher, at every step and trains it
     on the union of the data seen so far."""
-    check_lengths(bench, config.max_len, mode)
+    check_lengths(bench, config.max_len)
     tr = _Trainer(config, bench, out_dir)
     result = RunResult(mode, config, bench.setup, bench.kind, bench.sequence.permutation)
     model = None
@@ -487,7 +488,7 @@ def read_table(path, sep: str = "\t") -> list[dict[str, str]]:
     """Rows of a ``write_table`` file as header-keyed strings, the last
     field keeping any further ``sep``; a short row or an empty file is a
     CorpusError."""
-    header, *lines = Path(path).read_text(encoding="utf-8").splitlines() or [""]
+    header, *lines = read_text(path).splitlines() or [""]
     if not header:
         raise CorpusError(f"{path}: no header line")
     columns = header.split(sep)

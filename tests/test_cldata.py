@@ -52,8 +52,7 @@ class TestParseCorpus:
             Span(1, 2, "person-actor"),
             Span(5, 5, "location-GPE"),
         )
-        assert corpus.grouping["person-actor"] == "person"
-        assert corpus.grouping["location-GPE"] == "location"
+        assert [cldata.coarse_of(t) for t in corpus.inventory] == ["location", "person"]
 
     def test_orphan_inside_tag_repaired_with_count(self, tmp_path):
         path = tmp_path / "c.txt"

@@ -16,6 +16,7 @@ from clner.cldata import (
     LexEntry,
     ToyCorpusSpec,
     generate_toy_corpus,
+    parse_corpus,
     split3,
     write_corpus,
 )
@@ -124,6 +125,10 @@ class TestSynthesize:
         [("fewnerd", FEWNERD_FINE, True, 8), ("ontonotes", list(ONTONOTES_TYPES), False, 6)],
     )
     def test_corpus_kinds(self, tmp_path, kind, types, bare, tasks):
+        """Synthesize from a corpus directory of each kind, train spankl and
+        extendner in both modes, and report over the four roots. Few-NERD
+        curves keep only the coarse groups, and the last CL step's per-type
+        counts equal a recount of its predictions against its test file."""
         corpus = write_kind_corpus(tmp_path / "corpus", types, bare)
         out = tmp_path / "bench"
         code = main(
@@ -139,6 +144,41 @@ class TestSynthesize:
             }
         else:
             assert [t["types"] for t in manifest["tasks"]] == [[t] for t in ONTONOTES_TYPES]
+        last = f"{tasks:02d}"
+        gold = [
+            {(s.start, s.end, s.type) for s in sent.spans}
+            for sent in parse_corpus(out / f"task_{last}" / "test.txt").sentences
+        ]
+        roots = []
+        for model in ("spankl", "extendner"):
+            for mode in ("cl", "noncl"):
+                roots.append(tmp_path / f"{model}-{mode}")
+                assert main(
+                    ["train", "--benchmark", str(out), "--model", model, "--mode", mode,
+                     "--epochs", "1", "--set", "d_model=8", "--set", "n_heads=2",
+                     "--set", "d_span=4", "--out", str(roots[-1])]
+                ) == EXIT_OK
+                assert len(list((roots[-1] / "run_s0" / mode).glob("step_*"))) == tasks
+            run = roots[-2] / "run_s0"
+            curves = clrunner.read_table(run / "curves_cl.csv", ",")
+            groups = FEWNERD_COARSE if kind == "fewnerd" else ONTONOTES_TYPES
+            assert {row["type"] for row in curves} == {*groups, "__macro__"}
+            counts = {t: [0, 0, 0] for t in types}
+            predictions = (run / "cl" / f"step_{last}" / "predictions.jsonl").read_text()
+            records = [json.loads(line) for line in predictions.splitlines()]
+            assert len(records) == len(gold)
+            for record, sent_gold in zip(records, gold):
+                pred = {(i, j, t) for i, j, t, _ in record["spans"] if t in counts}
+                outcomes = (pred & sent_gold, pred - sent_gold, sent_gold - pred)
+                for part, spans in enumerate(outcomes):  # tp, fp, fn
+                    for *_, t in spans:
+                        counts[t][part] += 1
+            rows = clrunner.read_table(run / "metrics_cl.tsv")
+            assert {
+                row["type"]: [int(row["tp"]), int(row["fp"]), int(row["fn"])]
+                for row in rows if row["step"] == str(tasks) and row["type"] in counts
+            } == counts
+        assert main(["report", *map(str, roots), "--out", str(tmp_path / "report")]) == EXIT_OK
 
     def test_fewnerd_corpus_without_a_coarse_group_is_data_error(self, tmp_path, capsys):
         types = [t for t in FEWNERD_FINE if not t.startswith("art-")]
@@ -152,13 +192,17 @@ class TestSynthesize:
         assert "corpus lacks coarse groups: ['art']" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("damage", ["three-column-row", "no-test-file"])
+    @pytest.mark.parametrize("damage", ["three-column-row", "no-test-file", "non-utf8"])
     def test_damaged_corpus_dir_is_data_error(self, tmp_path, capsys, damage):
         corpus = write_kind_corpus(tmp_path / "corpus", list(ONTONOTES_TYPES))
         if damage == "three-column-row":
             dev = corpus / "dev.txt"
             dev.write_text(dev.read_text(encoding="utf-8").replace("\n", "\tX\n", 1), encoding="utf-8")
             message = f"{dev}:1: expected 'token<TAB>tag'"
+        elif damage == "non-utf8":
+            test = corpus / "test.txt"
+            test.write_bytes(test.read_bytes().replace(b"\t", b"\xe9\t", 1))
+            message = f"cannot read {test}: 'utf-8' codec can't decode byte 0xe9"
         else:
             (corpus / "test.txt").unlink()
             message = f"corpus directory {corpus} is missing test.txt"
@@ -373,16 +417,37 @@ class TestTrain:
         )
         assert code == EXIT_DATA
 
-    @pytest.mark.parametrize("damage", ["truncated", "missing-key"])
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "truncated", "missing-key", "inventory=5", "inventory=[1]", "grouping=5",
+            "grouping={}", 'grouping={"PER": "PER"}', "permutation=[1]", "permutation=true",
+            "kind=3", "setup=null", 'setup="bogus"', 'seed="x"', "seed=true", "tasks={}",
+            "non-utf8-vocab",
+        ],
+    )
     def test_malformed_benchmark_manifest_is_data_error(self, tmp_path, capsys, damage):
+        """A bad benchmark.json value, or a vocab.txt that is not UTF-8, is
+        a data error before any output, naming the file and the key."""
         bench = synth(tmp_path)
-        truncate_or_drop(bench / "benchmark.json", damage, "tasks")
+        named = bench / "benchmark.json"
+        key, _, value = damage.partition("=")
+        if value:
+            manifest = json.loads(named.read_text(encoding="utf-8"))
+            manifest[key] = json.loads(value)
+            named.write_text(json.dumps(manifest), encoding="utf-8")
+        elif damage == "non-utf8-vocab":
+            named = bench / "vocab.txt"
+            named.write_bytes(named.read_bytes() + b"\xff")
+        else:
+            key = "tasks"
+            truncate_or_drop(named, damage, key)
         out = tmp_path / "run"
         code = main(["train", "--benchmark", str(bench), "--out", str(out)] + TRAIN_FAST)
         assert code == EXIT_DATA
         err = capsys.readouterr().err
-        assert str(bench / "benchmark.json") in err
-        assert ("'tasks'" in err) == (damage == "missing-key")
+        assert str(named) in err
+        assert (f"'{key}'" in err) == (damage not in ("truncated", "non-utf8-vocab"))
         assert not out.exists()
 
     @pytest.mark.parametrize("into_task", [0, 1])
@@ -437,19 +502,23 @@ class TestTrain:
         assert not out.exists()
 
     def test_overlong_sentence_fails_before_training(self, tmp_path, capsys):
+        """Both modes check every split file, so non-CL also refuses a
+        sentence that only train.txt holds."""
         bench = synth(tmp_path, **{"--tasks": 3})
         train_file = bench / "task_03" / "train.txt"
         index = train_file.read_text().count("\n\n") + 1
         with train_file.open("a") as fh:
             fh.write("\n" + "".join(f"tok{k}\tO\n" for k in range(40)))
-        out = tmp_path / "run"
-        code = main(
-            ["train", "--benchmark", str(bench), "--out", str(out)] + TRAIN_FAST
-        )
-        assert code == EXIT_DATA
-        err = capsys.readouterr().err
-        assert f"task 3 train sentence {index}: length 40 exceeds max_len 32" in err
-        assert not out.exists()
+        for mode in ("cl", "noncl"):
+            out = tmp_path / f"run-{mode}"
+            code = main(
+                ["train", "--benchmark", str(bench), "--mode", mode, "--out", str(out)]
+                + TRAIN_FAST
+            )
+            assert code == EXIT_DATA
+            err = capsys.readouterr().err
+            assert f"task 3 train sentence {index}: length 40 exceeds max_len 32" in err
+            assert not out.exists()
 
     def test_multiple_seeds(self, tmp_path):
         bench = synth(tmp_path)
@@ -601,8 +670,9 @@ class TestReport:
             ("short row", "summary_cl.tsv:3: expected 7 fields, got 6"),
             ("empty", "summary_cl.tsv: no header line"),
             ("missing", "No such file or directory"),
+            ("non-utf8", "'utf-8' codec can't decode byte 0xff"),
         ],
-        ids=["short-row", "empty", "missing"],
+        ids=["short-row", "empty", "missing", "non-utf8"],
     )
     def test_damaged_summary_record_is_data_error(self, tmp_path, capsys, damage, message):
         root = write_train_root(tmp_path / "a", "spankl", "cl", 1, HAND_RUNS[("spankl", "cl", 1)])
@@ -611,6 +681,8 @@ class TestReport:
             summary.write_text(summary.read_text().replace("\t0.5\n", "\n"))
         elif damage == "empty":
             summary.write_text("")
+        elif damage == "non-utf8":
+            summary.write_bytes(summary.read_bytes() + b"\xff")
         else:
             summary.unlink()
         rep = tmp_path / "rep"

@@ -7,7 +7,12 @@ and on the working tree, each from its own ``src/``:
 
 - ``clner synthesize --kind toy --setup split-all --seed 3 --sentences 120``;
 - ``clner train`` for spankl, extendner and addner, each in ``cl`` and
-  ``noncl``, with ``--seeds 1,2``, under configs A, B and C below.
+  ``noncl``, with ``--seeds 1,2``, under configs A, B and C below, then
+  ``clner report`` over each (config, model)'s two roots;
+- ``clner synthesize --kind fewnerd --setup filter-filter`` from a
+  bare-tag corpus of 8 coarse x 2 fine types, written once so both sides
+  read the same bytes; ``clner train`` for spankl and extendner in both
+  modes under config A, then ``clner report`` over the four roots.
 
 Every run sees ``SOURCE_DATE_EPOCH=1700000000`` and one BLAS thread. The
 two output trees are then compared file by file: a ``manifest.json`` is
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -32,6 +38,12 @@ CONFIG_C = CONFIG_B | {"beta": 0, "freeze_encoder": "true"}
 CONFIGS = {"A": CONFIG_A, "B": CONFIG_B, "C": CONFIG_C}
 MODELS = ("spankl", "extendner", "addner")
 MODES = ("cl", "noncl")
+FEWNERD_FINE = tuple(
+    f"{coarse}-{fine}"
+    for coarse in ("location", "person", "organization", "other",
+                   "product", "building", "art", "event")
+    for fine in ("a", "b")
+)
 
 
 def _clner(tree: Path, *args) -> None:
@@ -50,7 +62,35 @@ def _clner(tree: Path, *args) -> None:
         raise SystemExit(f"clner {args[0]} exited {done.returncode} in {tree}")
 
 
-def run_recipe(tree: Path, out: Path) -> None:
+def write_fewnerd_corpus(root: Path) -> None:
+    """train/dev/test.txt with bare ``coarse-fine`` tags; each sentence
+    names two neighbouring types of FEWNERD_FINE, one token per mention."""
+    rng = random.Random(0)
+    root.mkdir(parents=True)
+    for name, count in (("train.txt", 60), ("dev.txt", 12), ("test.txt", 12)):
+        blocks = []
+        for _ in range(count):
+            k = rng.randrange(len(FEWNERD_FINE))
+            t, u = FEWNERD_FINE[k], FEWNERD_FINE[(k + 1) % len(FEWNERD_FINE)]
+            rows = [("the", "O"), (f"{t}{rng.randrange(3)}", t), ("met", "O"),
+                    (f"{u}{rng.randrange(3)}", u), ("today", "O")]
+            blocks.append("".join(f"{token}\t{tag}\n" for token, tag in rows))
+        (root / name).write_text("\n".join(blocks), encoding="utf-8")
+
+
+def _train_and_report(tree: Path, bench: Path, config: Path, models, out: Path, report: Path):
+    """Train each model in both modes into ``out/MODEL-MODE`` with seeds 1
+    and 2, then report over those roots into ``report``."""
+    roots = []
+    for model in models:
+        for mode in MODES:
+            roots.append(out / f"{model}-{mode}")
+            _clner(tree, "train", "--benchmark", bench, "--config", config, "--model", model,
+                   "--mode", mode, "--seeds", "1,2", "--out", roots[-1])
+    _clner(tree, "report", *roots, "--out", report)
+
+
+def run_recipe(tree: Path, out: Path, corpus: Path) -> None:
     """The recipe with ``tree``'s code, every output under ``out``."""
     bench = out / "bench"
     _clner(tree, "synthesize", "--kind", "toy", "--setup", "split-all", "--seed", 3,
@@ -59,9 +99,13 @@ def run_recipe(tree: Path, out: Path) -> None:
         path = out / f"config_{name}.txt"
         path.write_text("".join(f"{k} = {v}\n" for k, v in config.items()), encoding="utf-8")
         for model in MODELS:
-            for mode in MODES:
-                _clner(tree, "train", "--benchmark", bench, "--config", path, "--model", model,
-                       "--mode", mode, "--seeds", "1,2", "--out", out / name / f"{model}-{mode}")
+            _train_and_report(tree, bench, path, [model], out / name,
+                              out / name / f"{model}-report")
+    fewnerd = out / "fewnerd_bench"
+    _clner(tree, "synthesize", "--kind", "fewnerd", "--setup", "filter-filter",
+           "--corpus", corpus, "--out", fewnerd)
+    _train_and_report(tree, fewnerd, out / "config_A.txt", ["spankl", "extendner"],
+                      out / "fewnerd", out / "fewnerd" / "report")
 
 
 def _manifest(path: Path) -> dict:
@@ -106,8 +150,10 @@ def main(argv: list[str]) -> int:
             ["git", "-C", str(REPO), "archive", rev], check=True, capture_output=True
         ).stdout
         subprocess.run(["tar", "-x", "-C", str(export)], input=archive, check=True)
-        run_recipe(export, tmp / "base")
-        run_recipe(REPO, tmp / "work")
+        corpus = tmp / "fewnerd_corpus"
+        write_fewnerd_corpus(corpus)
+        run_recipe(export, tmp / "base", corpus)
+        run_recipe(REPO, tmp / "work", corpus)
         counts, differ = compare(tmp / "base", tmp / "work")
     print(f"equal: {counts['files']} files, {counts['manifests']} manifests (without inputs)")
     print(f"differing: {len(differ)}")

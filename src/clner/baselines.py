@@ -16,7 +16,7 @@ import numpy as np
 
 from clner import numcore as nc
 from clner.cldata import Span, decode_layer, encode_layer
-from clner.encoder import EncoderModel, TransformerEncoder, fan_in_uniform, length_mask
+from clner.encoder import EncoderModel, LossPlan, TransformerEncoder, fan_in_uniform, length_mask
 from clner.numcore.tensor import stable_softmax
 
 DEFAULT_PAD_CONSTANT = 1e-4
@@ -119,32 +119,53 @@ def _flat_rows(hidden: nc.Tensor, lengths: np.ndarray) -> tuple[nc.Tensor, np.nd
     return nc.reshape(hidden, (batch * n, d)), length_mask(lengths, n).reshape(-1), n
 
 
-def _gold_rows(
-    batch_gold, types: Sequence[str], tag_list: Sequence[str], n: int, lengths
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per flattened row: the one-hot gold IOB tag over ``types`` in
-    ``tag_list`` (O first), and whether that tag is an entity tag.
-    Padding rows get O."""
-    gold_ids = np.zeros(len(lengths) * n, dtype=np.int64)
-    for b, (spans, size) in enumerate(zip(batch_gold, lengths)):
-        tags = iob_encode(spans, types, int(size))
-        gold_ids[b * n : b * n + size] = [tag_list.index(t) for t in tags]
-    return np.eye(len(tag_list))[gold_ids], (gold_ids > 0).astype(np.float64)
+def _gold_block(spans, types: Sequence[str], tag_list: Sequence[str], size: int) -> np.ndarray:
+    """One sentence's one-hot gold IOB rows over ``types`` in ``tag_list``
+    (O first)."""
+    tags = iob_encode(spans, types, size)
+    return np.eye(len(tag_list))[[tag_list.index(t) for t in tags]]
 
 
-def _reference_rows(dists, width: int, n: int, lengths) -> np.ndarray:
-    """Per-sentence teacher rows placed at their flattened row offsets;
-    padding rows hold a uniform distribution (masked out of the loss)."""
-    ref = np.full((len(lengths) * n, width), 1.0 / width)
-    for b, (dist, size) in enumerate(zip(dists, lengths)):
-        ref[b * n : b * n + size] = dist
-    return ref
+def _teacher_rows(dist, size: int, width: int | None = None) -> np.ndarray:
+    """One sentence's teacher rows, checked to be ``size`` rows (of
+    ``width`` columns, when given)."""
+    shape = np.shape(dist)
+    if len(shape) != 2 or shape[0] != size or width not in (None, shape[1]):
+        expected = f"{size} rows" if width is None else (size, width)
+        raise nc.ShapeError(f"distilled rows have shape {shape}, expected {expected}")
+    return np.asarray(dist, dtype=np.float64)
 
 
 def _neg_entropy(rows: np.ndarray) -> np.ndarray:
     """Per row, the sum of p log p (0 log 0 = 0): the constant by which
     a row's KL exceeds its cross entropy."""
     return np.where(rows > 0.0, rows * np.log(np.maximum(rows, 1e-300)), 0.0).sum(axis=-1)
+
+
+def _placed_heads(
+    head_logits, hidden: nc.Tensor, lengths: np.ndarray, plan: LossPlan, alpha: float, beta: float
+) -> nc.Tensor:
+    """Sum over the planned heads of one weighted cross entropy over the
+    batch's flattened token rows. A plan's head is (index, padding row);
+    a sentence's row holds per head its target rows and KD mask, placed
+    at its row offset. KD rows weigh beta, the other real rows alpha,
+    padding 0; a head with KD rows adds their constant negative entropy."""
+    rows, real, n = _flat_rows(hidden, lengths)
+    loss: nc.Tensor | None = None
+    for h, (idx, pad_row) in enumerate(plan.shared):
+        targets = np.tile(pad_row, (len(real), 1))
+        kd = np.zeros_like(real)
+        for b, sentence in enumerate(plan.rows):
+            block, mask = sentence[h]
+            targets[b * n : b * n + len(mask)] = block
+            kd[b * n : b * n + len(mask)] = mask
+        term = nc.softmax_cross_entropy(
+            head_logits(rows, idx), targets, alpha * (real - kd) + beta * kd
+        )
+        if kd.any():
+            term = term + beta * (kd * _neg_entropy(targets)).sum()
+        loss = term if loss is None else loss + term
+    return loss
 
 
 class AddNerTagger(EncoderModel):
@@ -173,33 +194,36 @@ class AddNerTagger(EncoderModel):
     def _head_logits(self, hidden: nc.Tensor, idx: int) -> nc.Tensor:
         return nc.matmul(hidden, self.weights[idx]) + self.biases[idx]
 
-    def _loss_sum(self, hidden, lengths, batch_gold, current_types, distilled, alpha, beta):
-        """Sum over the batch of each sentence's loss: alpha * cross
-        entropy on heads whose types are current; beta * KL against the
-        teacher's own-head softmax on the older heads (a sentence's
-        distilled labels: one (n, width) array per taught head), as a
-        cross entropy against the teacher rows plus their constant
-        negative entropy."""
-        rows, real, n = _flat_rows(hidden, lengths)
+    def loss_plan(self, sizes, batch_gold, current_types, distilled) -> LossPlan:
+        """alpha * cross entropy on heads whose types are current, against
+        each sentence's one-hot gold rows; beta * KL against the teacher's
+        own-head softmax on the older heads (a sentence's distilled
+        labels: one (n, width) array per taught head), as a cross entropy
+        against the teacher rows plus their constant negative entropy."""
         current = set(current_types)
         taught = min(len(d) for d in distilled) if distilled is not None else 0
-        loss: nc.Tensor | None = None
+        heads, columns = [], []
         for idx, types in enumerate(self.task_types):
+            width = self.weights[idx].shape[1]
             if set(types) <= current:
-                gold, _ = _gold_rows(batch_gold, types, head_tag_list(types), n, lengths)
-                term = nc.softmax_cross_entropy(self._head_logits(rows, idx), gold, alpha * real)
+                tags = head_tag_list(types)
+                heads.append((idx, np.eye(width)[0]))
+                columns.append([
+                    (_gold_block(spans, types, tags, size), np.zeros(size))
+                    for spans, size in zip(batch_gold, sizes)
+                ])
             elif idx < taught:
-                width = self.weights[idx].shape[1]
-                ref = _reference_rows([d[idx] for d in distilled], width, n, lengths)
-                term = nc.softmax_cross_entropy(
-                    self._head_logits(rows, idx), ref, beta * real
-                ) + beta * (real * _neg_entropy(ref)).sum()
-            else:
-                continue
-            loss = term if loss is None else loss + term
-        if loss is None:
-            raise ValueError("no head received a training signal for this batch")
-        return loss
+                heads.append((idx, np.full(width, 1.0 / width)))
+                columns.append([
+                    (_teacher_rows(d[idx], size, width), np.ones(size))
+                    for d, size in zip(distilled, sizes)
+                ])
+        if not heads:
+            raise ValueError("no head received a training signal for these sentences")
+        return LossPlan(heads, list(zip(*columns)))
+
+    def _placed_sum(self, hidden, lengths, plan, alpha, beta):
+        return _placed_heads(self._head_logits, hidden, lengths, plan, alpha, beta)
 
     def _probs(self, batch_ids: Sequence[Sequence[int]], types: Sequence[str]) -> list:
         """Per sentence of an equal-length batch, each head's (n, width)
@@ -251,25 +275,28 @@ class ExtendNerTagger(EncoderModel):
     def _logits(self, hidden: nc.Tensor) -> nc.Tensor:
         return nc.matmul(hidden, self.weight) + self.bias
 
-    def _loss_sum(self, hidden, lengths, batch_gold, current_types, distilled, alpha, beta):
-        """Sum over the batch of each sentence's loss, as one weighted
-        cross entropy over per-token targets: alpha * CE with the gold on
-        tokens whose gold is a current entity tag (on every token when no
-        teacher exists), beta * KL against the teacher's (n, old width)
-        rows, padded to the head's width, on the others (CE plus the row's
-        constant negative entropy)."""
-        rows, real, n = _flat_rows(hidden, lengths)
-        width = len(self.tag_list)
-        targets, entity = _gold_rows(batch_gold, current_types, self.tag_list, n, lengths)
-        kd = np.zeros_like(real)
-        if distilled is not None:
-            kd = real * (1.0 - entity)
-            padded = [pad_distilled_distribution(d, width, self.pad_constant) for d in distilled]
-            taught = kd > 0.0
-            targets[taught] = _reference_rows(padded, width, n, lengths)[taught]
-        return nc.softmax_cross_entropy(
-            self._logits(rows), targets, alpha * (real - kd) + beta * kd
-        ) + beta * (kd * _neg_entropy(targets)).sum()
+    def loss_plan(self, sizes, batch_gold, current_types, distilled) -> LossPlan:
+        """One head over the whole tag set. Per sentence: alpha * CE with
+        the one-hot gold on rows whose gold is a current entity tag (on
+        every row when no teacher exists), beta * KL against the
+        teacher's (n, old width) rows, padded to the head's width, on the
+        others (CE plus the rows' constant negative entropy)."""
+        tags = self.tag_list
+        rows = []
+        for b, (spans, size) in enumerate(zip(batch_gold, sizes)):
+            block = _gold_block(spans, current_types, tags, size)
+            kd = np.zeros(size)
+            if distilled is not None:
+                padded = pad_distilled_distribution(
+                    _teacher_rows(distilled[b], size), len(tags), self.pad_constant
+                )
+                kd = block[:, 0].copy()
+                block[kd > 0.0] = padded[kd > 0.0]
+            rows.append(((block, kd),))
+        return LossPlan([(0, np.eye(len(tags))[0])], rows)
+
+    def _placed_sum(self, hidden, lengths, plan, alpha, beta):
+        return _placed_heads(lambda rows, _: self._logits(rows), hidden, lengths, plan, alpha, beta)
 
     def _probs(self, batch_ids: Sequence[Sequence[int]], types: Sequence[str]) -> np.ndarray:
         """(B, n, width) softmax rows of an equal-length batch over the

@@ -735,6 +735,11 @@ def load_benchmark(path) -> SynthesizedBenchmark:
         )
     except (KeyError, TypeError, ValueError) as e:
         raise CorpusError(f"{manifest_path}: bad task list: {e!r}") from e
+    stray = set(sequence.all_types()) - set(manifest["inventory"])
+    if stray:
+        raise CorpusError(
+            f"{manifest_path}: 'tasks' name types not in 'inventory': {sorted(stray)}"
+        )
     tasks = []
     for l, spec in enumerate(sequence.tasks, start=1):
         task_dir = root / f"task_{l:02d}"

@@ -270,12 +270,21 @@ class _Trainer:
     ) -> tuple[list[float], int]:
         """Multi-epoch training on ``types`` with selection by dev
         macro-F1 over the same types; the model ends holding the weights
-        of the best dev epoch (later epochs win ties). Each mini-batch is
-        one padded graph and one loss call. A frozen encoder is kept out
-        of the graph, so it gathers no gradient. A non-finite loss aborts
-        the run before its backward pass, a non-finite gradient before
-        the update."""
+        of the best dev epoch (later epochs win ties). The loss targets of
+        every training sentence are planned (and checked) once, before
+        the first update; each mini-batch is one padded graph and one
+        ``placed_loss`` call. A frozen encoder is kept out of the graph,
+        so it gathers no gradient. A non-finite loss aborts the run
+        before its backward pass, a non-finite gradient before the
+        update."""
         cfg = self.config
+        n = len(train_sents)
+        if n == 0:
+            raise RunError(step, "no training sentences")
+        ids = [self.ids_of(sent) for sent in train_sents]
+        plan = model.loss_plan(
+            [len(sent) for sent in ids], [sent.spans for sent in train_sents], types, distilled
+        )
         for p in model.encoder_parameters():
             p.requires_grad = not cfg.freeze_encoder
             p.grad = None
@@ -283,29 +292,18 @@ class _Trainer:
         base_lrs = [g["lr"] for g in opt.groups]
         shuffle_rng = stream_rng(cfg.seed, _SHUFFLE, step)
         dropout_rng = stream_rng(cfg.seed, _DROPOUT, step)
-        n = len(train_sents)
-        if n == 0:
-            raise RunError(step, "no training sentences")
         n_batches = (n + cfg.batch_size - 1) // cfg.batch_size
         total_opt_steps = cfg.epochs * n_batches
         dev_curve: list[float] = []
         best: tuple[float, int, dict[str, np.ndarray]] | None = None
-        ids = [self.ids_of(sent) for sent in train_sents]
-        golds = [[tuple(s) for s in sent.spans] for sent in train_sents]
         opt_step = 0
         for epoch in range(1, cfg.epochs + 1):
             order = shuffle_rng.permutation(n)
             for b in range(n_batches):
                 batch = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
                 opt.zero_grad()
-                loss = model.batch_loss(
-                    [ids[idx] for idx in batch],
-                    [golds[idx] for idx in batch],
-                    types,
-                    [distilled[idx] for idx in batch] if distilled is not None else None,
-                    cfg.alpha,
-                    cfg.beta,
-                    True,
+                loss = model.placed_loss(
+                    [ids[idx] for idx in batch], plan.take(batch), cfg.alpha, cfg.beta, True,
                     dropout_rng,
                 )
                 if not np.isfinite(loss.data):

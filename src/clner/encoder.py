@@ -19,6 +19,8 @@ from clner import numcore as nc
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
+# most sentences in one inference forward pass; bounds its (B, T, n, n) arrays
+INFERENCE_CHUNK = 16
 
 
 class Vocab:
@@ -163,18 +165,33 @@ class TransformerEncoder:
         return nc.reshape(hidden, (n, cfg.d_model)) if single else hidden
 
 
+@dataclass(frozen=True)
+class LossPlan:
+    """A step's loss targets, fixed while the step trains, in the model's
+    own form: what every sentence shares (``shared``: the scored heads
+    and their roles) and each sentence's prebuilt target blocks
+    (``rows``). ``take`` keeps the sentences of one batch."""
+
+    shared: object
+    rows: list
+
+    def take(self, picked: Iterable[int]) -> "LossPlan":
+        return LossPlan(self.shared, [self.rows[i] for i in picked])
+
+
 class EncoderModel:
     """What the span model and the taggers share: an encoder, the
     registered ``types`` and their growth, checkpoints written from
     ``state_arrays`` and restored by ``load_arrays``, the loss contract
-    (``batch_loss``, and ``sentence_loss`` as a batch of one), and
-    graph-free inference with one forward pass per sentence length. A
-    subclass defines only its heads (``_add_heads``, ``head_named``),
-    ``_loss_sum`` (encoded batch -> the sum of its sentences' losses),
-    ``_probs`` (an equal-length batch -> each sentence's probabilities
-    over the given types, which are also the teacher's labels) and
-    ``_decode`` (one sentence's probabilities -> its (start, end, type,
-    score) spans)."""
+    (``placed_loss``; ``batch_loss``, and ``sentence_loss`` as a batch of
+    one), and graph-free inference with one forward pass per sentence
+    length. A subclass defines only its heads (``_add_heads``,
+    ``head_named``), ``loss_plan`` (gold spans and teacher labels ->
+    checked, prebuilt targets), ``_placed_sum`` (encoded batch and its
+    plan -> the sum of its sentences' losses), ``_probs`` (an equal-length
+    batch -> each sentence's probabilities over the given types, which
+    are also the teacher's labels) and ``_decode`` (one sentence's
+    probabilities -> its (start, end, type, score) spans)."""
 
     def __init__(self, encoder: TransformerEncoder):
         self.encoder = encoder
@@ -204,15 +221,18 @@ class EncoderModel:
         return self.encoder.encode(ids, train=train, rng=rng, lengths=lengths), lengths
 
     def _by_length(self, sentences_ids: Sequence[Sequence[int]], run) -> list:
-        """``run`` on each equal-length group of the sentences, stacked
-        into one (B, n) id array, without a graph; its per-sentence
-        results put back in input order."""
+        """``run`` on each equal-length group of the sentences, in chunks
+        of at most INFERENCE_CHUNK stacked into one (B, n) id array,
+        without a graph; its per-sentence results put back in input
+        order."""
         out: list = [None] * len(sentences_ids)
         with nc.no_grad():
             for group in length_buckets(sentences_ids):
-                batch = np.array([sentences_ids[i] for i in group], dtype=np.int64)
-                for idx, result in zip(group, run(batch)):
-                    out[idx] = result
+                for start in range(0, len(group), INFERENCE_CHUNK):
+                    chunk = group[start : start + INFERENCE_CHUNK]
+                    batch = np.array([sentences_ids[i] for i in chunk], dtype=np.int64)
+                    for idx, result in zip(chunk, run(batch)):
+                        out[idx] = result
         return out
 
     def predict_many(self, sentences_ids: Sequence[Sequence[int]]) -> list:
@@ -242,23 +262,26 @@ class EncoderModel:
     def head_parameters(self) -> list[nc.Tensor]:
         return list(self.head_named().values())
 
-    def batch_loss(
-        self,
-        batch_ids: Sequence[Sequence[int]],
-        batch_gold: Sequence[Iterable],
-        current_types: Sequence[str],
-        distilled: Sequence | None,
-        alpha: float,
-        beta: float,
-        train: bool,
-        rng: np.random.Generator | None,
+    def placed_loss(
+        self, batch_ids: Sequence[Sequence[int]], plan: LossPlan, alpha: float, beta: float,
+        train: bool, rng: np.random.Generator | None,
     ) -> nc.Tensor:
         """The loss contract: each sentence's loss, summed over its cells
-        by ``_loss_sum``, averaged over the batch only. ``distilled`` holds
-        each sentence's teacher labels, or is None without a teacher."""
+        by ``_placed_sum`` from the sentences' ``loss_plan``, averaged
+        over the batch only. Training plans once per step and places once
+        per batch."""
         hidden, lengths = self._encode(batch_ids, train, rng)
-        loss = self._loss_sum(hidden, lengths, batch_gold, current_types, distilled, alpha, beta)
-        return nc.mul(loss, 1.0 / len(lengths))
+        return nc.mul(self._placed_sum(hidden, lengths, plan, alpha, beta), 1.0 / len(lengths))
+
+    def batch_loss(
+        self, batch_ids: Sequence[Sequence[int]], batch_gold: Sequence[Iterable],
+        current_types: Sequence[str], distilled: Sequence | None, alpha: float, beta: float,
+        train: bool, rng: np.random.Generator | None,
+    ) -> nc.Tensor:
+        """``placed_loss`` of the batch's own plan. ``distilled`` holds
+        each sentence's teacher labels, or is None without a teacher."""
+        plan = self.loss_plan([len(ids) for ids in batch_ids], batch_gold, current_types, distilled)
+        return self.placed_loss(batch_ids, plan, alpha, beta, train, rng)
 
     def sentence_loss(
         self,

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from clner import numcore as nc
-from clner.encoder import EncoderModel, TransformerEncoder, fan_in_uniform, length_mask
+from clner.encoder import EncoderModel, LossPlan, TransformerEncoder, fan_in_uniform, length_mask
 from clner.numcore.tensor import stable_sigmoid
 
 DEFAULT_SPAN_DIM = 50
@@ -53,6 +53,82 @@ def span_logits(
     return nc.span_scores(hidden, start_w, start_b, end_w, end_b, rows)
 
 
+def plan_objective(
+    lengths: Sequence[int], types: Sequence[str], current_types: Sequence[str],
+    golds: Sequence[Mapping[str, Iterable[tuple[int, int]]]],
+    distilled: Sequence[Mapping[str, np.ndarray]] | None,
+) -> LossPlan:
+    """``objective``'s targets for logits over ``types``, checked and
+    built once: shared are ``types`` and the current and old columns;
+    each sentence's row is its gold cells as a (3, m) array of (column, i, j)
+    and, with old types, its teacher probabilities clamped into
+    [1e-7, 1 - 1e-7] as one (T_old, n_b, n_b) block in old-column order."""
+    column = {t: k for k, t in enumerate(types)}
+    current = [column[t] for t in current_types]
+    old_types = [t for t in types if t not in current_types]
+    if old_types and distilled is None:
+        raise ValueError(f"distilled labels missing for old types: {sorted(old_types)}")
+    rows = []
+    for b, (gold, size) in enumerate(zip(golds, lengths)):
+        extra = set(gold) - set(current_types)
+        if extra:
+            raise ValueError(f"gold spans for non-current types: {sorted(extra)}")
+        cells = [(column[t], i - 1, j - 1) for t, pairs in gold.items() for i, j in pairs]
+        for _, i, j in cells:
+            if not (0 <= i <= j < size):
+                raise ValueError(f"gold span ({i + 1}, {j + 1}) outside a {size}-token sentence")
+        block = None
+        if old_types:
+            labels = distilled[b]
+            if set(labels) != set(old_types):
+                raise ValueError(
+                    f"distilled labels cover {sorted(labels)}, not the old types "
+                    f"{sorted(old_types)}"
+                )
+            for t in old_types:
+                if np.shape(labels[t]) != (size, size):
+                    raise nc.ShapeError(
+                        f"distilled matrix for {t!r} has shape {np.shape(labels[t])}, "
+                        f"expected {(size, size)}"
+                    )
+            block = np.clip(
+                [labels[t] for t in old_types], TEACHER_PROB_CLAMP, 1.0 - TEACHER_PROB_CLAMP
+            )
+        rows.append((np.array(cells, dtype=np.int64).reshape(-1, 3).T, block))
+    old = [column[t] for t in old_types]
+    if old and old == list(range(len(old))):  # growth puts the old types first
+        old = slice(0, len(old))  # a basic index places a block without index arrays
+    return LossPlan((tuple(types), current, old), rows)
+
+
+def place_objective(
+    logits: nc.Tensor, lengths: np.ndarray, plan: LossPlan, alpha: float, beta: float
+) -> nc.Tensor:
+    """``objective`` of (B, T, n, n) logits from the batch's plan: the
+    planned gold cells take label 1 and the teacher blocks fill the old
+    columns, every other cell 0, in one weighted ``bce_with_logits``
+    call; the KL adds the placed teacher cells' constant negative entropy
+    sum p log p + q log q."""
+    _, current, old = plan.shared
+    owned = triu_mask(logits.shape[-1]) * length_mask(lengths, logits.shape[-1])[:, None, :]
+    target = np.zeros(logits.shape)
+    weight = np.zeros(logits.shape)
+    weight[:, current] = alpha * owned[:, None]
+    gold = [cells for cells, _ in plan.rows]
+    k, i, j = np.concatenate(gold, axis=1)
+    target[np.repeat(np.arange(len(gold)), [cells.shape[1] for cells in gold]), k, i, j] = 1.0
+    for b, (_, block) in enumerate(plan.rows):
+        if block is not None:
+            target[b, old, : block.shape[-1], : block.shape[-1]] = block
+    if not old:
+        return nc.bce_with_logits(logits, target, weight)
+    weight[:, old] = beta * owned[:, None]
+    p = target[:, old]
+    p = p[np.broadcast_to(owned[:, None] > 0.0, p.shape)]
+    entropy = (p * np.log(p) + (1.0 - p) * np.log1p(-p)).sum()
+    return nc.bce_with_logits(logits, target, weight) + beta * entropy
+
+
 def objective(
     logits: nc.Tensor,
     lengths: np.ndarray,
@@ -65,56 +141,14 @@ def objective(
 ) -> nc.Tensor:
     """alpha * BCE over the current types plus beta * Bernoulli KL over
     the other (old) types of ``types``, summed over the read cells (upper
-    triangle within each sentence's length) of every sentence.
-
-    ``logits`` is (B, T, n, n) with ``types`` along T. Each sentence's
-    gold maps a current type to its (start, end) spans, which take label
-    1, every other cell 0; its distilled labels map each old type to the
-    teacher's (n_b, n_b) probabilities, clamped into [1e-7, 1 - 1e-7].
-    Both terms are the cross entropy softplus(z) - t*z against a soft
-    target t, so they are one weighted ``bce_with_logits`` call; the KL
-    adds the teacher's constant negative entropy sum p log p + q log q."""
-    column = {t: k for k, t in enumerate(types)}
-    current = [column[t] for t in current_types]
-    old_types = [t for t in types if t not in current_types]
-    if old_types and distilled is None:
-        raise ValueError(f"distilled labels missing for old types: {sorted(old_types)}")
-    owned = triu_mask(logits.shape[-1]) * length_mask(lengths, logits.shape[-1])[:, None, :]
-    target = np.zeros(logits.shape)
-    weight = np.zeros(logits.shape)
-    weight[:, current] = alpha * owned[:, None]
-    for b, (gold, size) in enumerate(zip(golds, lengths)):
-        extra = set(gold) - set(current_types)
-        if extra:
-            raise ValueError(f"gold spans for non-current types: {sorted(extra)}")
-        for t, pairs in gold.items():
-            for i, j in pairs:
-                if not (1 <= i <= j <= size):
-                    raise ValueError(f"gold span ({i}, {j}) outside a {size}-token sentence")
-                target[b, column[t], i - 1, j - 1] = 1.0
-    if not old_types:
-        return nc.bce_with_logits(logits, target, weight)
-    old = [column[t] for t in old_types]
-    for b, (labels, size) in enumerate(zip(distilled, lengths)):
-        missing, extra = set(old_types) - set(labels), set(labels) - set(old_types)
-        if missing:
-            raise ValueError(f"distilled labels missing for old types: {sorted(missing)}")
-        if extra:
-            raise ValueError(f"distilled labels cover unexpected types: {sorted(extra)}")
-        for t in old_types:
-            if np.shape(labels[t]) != (size, size):
-                raise nc.ShapeError(
-                    f"distilled matrix for {t!r} has shape {np.shape(labels[t])}, "
-                    f"expected {(size, size)}"
-                )
-            target[b, column[t], :size, :size] = np.clip(
-                labels[t], TEACHER_PROB_CLAMP, 1.0 - TEACHER_PROB_CLAMP
-            )
-    weight[:, old] = beta * owned[:, None]
-    p = target[:, old]
-    p = p[np.broadcast_to(owned[:, None] > 0.0, p.shape)]
-    entropy = (p * np.log(p) + (1.0 - p) * np.log1p(-p)).sum()
-    return nc.bce_with_logits(logits, target, weight) + beta * entropy
+    triangle within each sentence's length) of every sentence, for
+    (B, T, n, n) logits with ``types`` along T: ``place_objective`` of
+    ``plan_objective``. Each sentence's gold maps a current type to its
+    (start, end) spans; its distilled labels map each old type to the
+    teacher's (n_b, n_b) probabilities. Both terms are the cross entropy
+    softplus(z) - t*z against a soft target t."""
+    plan = plan_objective(lengths, types, current_types, golds, distilled)
+    return place_objective(logits, lengths, plan, alpha, beta)
 
 
 def _one_sentence(matrices: Mapping[str, nc.Tensor], types: Sequence[str]):
@@ -270,30 +304,30 @@ class SpanKLModel(EncoderModel):
         wanted, logits = self._span_scores(self._encode(batch_ids)[0], types)
         return [dict(zip(wanted, p)) for p in stable_sigmoid(logits.data)]
 
-    def _loss_sum(self, hidden, lengths, batch_gold, current_types, distilled, alpha, beta):
-        """Sum over the batch of each sentence's alpha * BCE over current
-        types + beta * KL over old types, each summed over the sentence's
-        upper-triangle cells; a sentence's distilled labels map each old
-        type to its (n, n) teacher probabilities. The KD term is absent
-        when no distilled labels exist (first step or disabled
-        distillation)."""
+    def loss_plan(self, sizes, batch_gold, current_types, distilled) -> LossPlan:
+        """``plan_objective`` for alpha * BCE over the current types +
+        beta * KL over the old types; a sentence's distilled labels map
+        each old type to its (n, n) teacher probabilities. The KD term
+        and the old types' heads are left out when no distilled labels
+        exist (first step or disabled distillation)."""
         current = set(current_types)
         unknown = current - set(self.types)
         if unknown:
             raise ValueError(f"current types not registered: {sorted(unknown)}")
-        old_types = [t for t in self.types if t not in current]
-        use_kd = distilled is not None and bool(old_types)
-        needed = [t for t in self.types if t in current or use_kd]
-        wanted, logits = self._span_scores(hidden, needed)
+        use_kd = distilled is not None and not current.issuperset(self.types)
+        wanted = [t for t in self.types if t in current or use_kd]
         golds = []
         for spans in batch_gold:
             by_type: dict[str, list[tuple[int, int]]] = {}
             for span in spans:
                 by_type.setdefault(span[2], []).append((span[0], span[1]))
             golds.append(by_type)
-        return objective(
-            logits, lengths, wanted, current_types, golds, distilled if use_kd else None, alpha, beta
-        )
+        return plan_objective(sizes, wanted, current_types, golds, distilled if use_kd else None)
+
+    def _placed_sum(self, hidden, lengths, plan, alpha, beta):
+        """``place_objective`` on the scores of the planned types' heads."""
+        _, logits = self._span_scores(hidden, plan.shared[0])
+        return place_objective(logits, lengths, plan, alpha, beta)
 
     def _decode(self, probs: Mapping[str, np.ndarray]) -> list:
         """Mutually non-overlapping spans above the threshold."""

@@ -406,3 +406,115 @@ def prf_oracle(tp: int, fp: int, fn: int):
     r = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * p * r / (p + r) if p + r else 0.0
     return p, r, f1
+
+
+# -- the per-batch loss formulas that the per-step loss plan replaces ----
+#
+# Each rebuilds and re-checks a batch's targets from its gold spans and
+# teacher labels inside the loss call, as every batch once did. The
+# planned loss (``loss_plan`` once, ``placed_loss`` per batch) must give
+# the same value and gradients bit for bit.
+
+
+def reference_objective(logits, lengths, types, current_types, golds, distilled, alpha, beta):
+    """``spankl.objective`` with its targets built inside the call."""
+    from clner import numcore as nc
+    from clner.encoder import length_mask
+    from clner.spankl import TEACHER_PROB_CLAMP, triu_mask
+
+    column = {t: k for k, t in enumerate(types)}
+    current = [column[t] for t in current_types]
+    old_types = [t for t in types if t not in current_types]
+    owned = triu_mask(logits.shape[-1]) * length_mask(lengths, logits.shape[-1])[:, None, :]
+    target = np.zeros(logits.shape)
+    weight = np.zeros(logits.shape)
+    weight[:, current] = alpha * owned[:, None]
+    for b, gold in enumerate(golds):
+        for t, pairs in gold.items():
+            for i, j in pairs:
+                target[b, column[t], i - 1, j - 1] = 1.0
+    if not old_types:
+        return nc.bce_with_logits(logits, target, weight)
+    old = [column[t] for t in old_types]
+    for b, (labels, size) in enumerate(zip(distilled, lengths)):
+        for t in old_types:
+            target[b, column[t], :size, :size] = np.clip(
+                labels[t], TEACHER_PROB_CLAMP, 1.0 - TEACHER_PROB_CLAMP
+            )
+    weight[:, old] = beta * owned[:, None]
+    p = target[:, old]
+    p = p[np.broadcast_to(owned[:, None] > 0.0, p.shape)]
+    entropy = (p * np.log(p) + (1.0 - p) * np.log1p(-p)).sum()
+    return nc.bce_with_logits(logits, target, weight) + beta * entropy
+
+
+def _reference_gold_rows(batch_gold, types, tag_list, n, lengths):
+    from clner.baselines import iob_encode
+
+    gold_ids = np.zeros(len(lengths) * n, dtype=np.int64)
+    for b, (spans, size) in enumerate(zip(batch_gold, lengths)):
+        tags = iob_encode(spans, types, int(size))
+        gold_ids[b * n : b * n + size] = [tag_list.index(t) for t in tags]
+    return np.eye(len(tag_list))[gold_ids], (gold_ids > 0).astype(np.float64)
+
+
+def _reference_teacher_rows(dists, width, n, lengths):
+    ref = np.full((len(lengths) * n, width), 1.0 / width)
+    for b, (dist, size) in enumerate(zip(dists, lengths)):
+        ref[b * n : b * n + size] = dist
+    return ref
+
+
+def reference_loss_sum(model, hidden, lengths, batch_gold, current_types, distilled, alpha, beta):
+    """The sum of the batch's sentence losses, each model's targets built
+    inside the call."""
+    from clner import numcore as nc
+    from clner.baselines import (
+        AddNerTagger, ExtendNerTagger, _flat_rows, _neg_entropy, head_tag_list,
+        pad_distilled_distribution,
+    )
+
+    if isinstance(model, AddNerTagger):
+        rows, real, n = _flat_rows(hidden, lengths)
+        taught = min(len(d) for d in distilled) if distilled is not None else 0
+        loss = None
+        for idx, types in enumerate(model.task_types):
+            if set(types) <= set(current_types):
+                gold, _ = _reference_gold_rows(batch_gold, types, head_tag_list(types), n, lengths)
+                term = nc.softmax_cross_entropy(model._head_logits(rows, idx), gold, alpha * real)
+            elif idx < taught:
+                width = model.weights[idx].shape[1]
+                ref = _reference_teacher_rows([d[idx] for d in distilled], width, n, lengths)
+                term = nc.softmax_cross_entropy(
+                    model._head_logits(rows, idx), ref, beta * real
+                ) + beta * (real * _neg_entropy(ref)).sum()
+            else:
+                continue
+            loss = term if loss is None else loss + term
+        return loss
+    if isinstance(model, ExtendNerTagger):
+        rows, real, n = _flat_rows(hidden, lengths)
+        width = len(model.tag_list)
+        targets, entity = _reference_gold_rows(batch_gold, current_types, model.tag_list, n, lengths)
+        kd = np.zeros_like(real)
+        if distilled is not None:
+            kd = real * (1.0 - entity)
+            padded = [pad_distilled_distribution(d, width, model.pad_constant) for d in distilled]
+            taught = kd > 0.0
+            targets[taught] = _reference_teacher_rows(padded, width, n, lengths)[taught]
+        return nc.softmax_cross_entropy(
+            model._logits(rows), targets, alpha * (real - kd) + beta * kd
+        ) + beta * (kd * _neg_entropy(targets)).sum()
+    current = set(current_types)
+    use_kd = distilled is not None and any(t not in current for t in model.types)
+    needed = [t for t in model.types if t in current or use_kd]
+    wanted, logits = model._span_scores(hidden, needed)
+    golds = []
+    for spans in batch_gold:
+        by_type = {}
+        for span in spans:
+            by_type.setdefault(span[2], []).append((span[0], span[1]))
+        golds.append(by_type)
+    return reference_objective(
+        logits, lengths, wanted, current_types, golds, distilled if use_kd else None, alpha, beta
+    )

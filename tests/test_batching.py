@@ -18,8 +18,8 @@ from clner import numcore as nc
 from clner import spankl
 from clner.baselines import AddNerTagger, ExtendNerTagger
 from clner.clrunner import cache_digest
-from clner.encoder import EncoderConfig, TransformerEncoder
-from helpers import graph_nodes
+from clner.encoder import INFERENCE_CHUNK, EncoderConfig, TransformerEncoder
+from helpers import graph_nodes, reference_loss_sum
 
 BATCH = [[3, 9, 2], [14, 5, 5, 21, 7, 8, 4], [6], [11, 12, 13, 2, 3]]
 GOLD = [
@@ -162,6 +162,46 @@ def test_graph_nodes_per_span_batch_without_teacher():
     assert graph_nodes(loss) <= 5
 
 
+# nested, overlapping and repeated gold spans
+NESTED_GOLD = [
+    [(1, 2, "PER"), (1, 2, "PER"), (2, 2, "ORG")],
+    [(2, 4, "ORG"), (3, 3, "PER"), (2, 6, "PER"), (6, 7, "ORG"), (6, 7, "ORG")],
+    [],
+    [(1, 5, "PER"), (2, 3, "ORG")],
+]
+
+
+@pytest.mark.parametrize("kind,with_teacher", CASES + [("addner", False)])
+def test_planned_loss_is_the_per_batch_formula(kind, with_teacher):
+    """Training plans the targets of all its sentences once and places a
+    shuffled batch's rows per batch; that gives what building the
+    batch's targets inside the loss gives, in value and in every
+    gradient, bit for bit."""
+    model, teacher = build(kind, with_teacher)
+    params = list(model.named_parameters().values())
+    order = [3, 0, 2, 1]
+    plan = model.loss_plan([len(ids) for ids in BATCH], NESTED_GOLD, ["PER", "ORG"], teacher)
+    nc.zero_grad(params)
+    got = model.placed_loss(
+        [BATCH[b] for b in order], plan.take(order), 0.7, 1.3, True, np.random.default_rng(5)
+    )
+    got.backward()
+    got_grads = grads_of(model)
+    nc.zero_grad(params)
+    hidden, lengths = model._encode([BATCH[b] for b in order], True, np.random.default_rng(5))
+    want = nc.mul(
+        reference_loss_sum(
+            model, hidden, lengths, [NESTED_GOLD[b] for b in order], ["PER", "ORG"],
+            None if teacher is None else [teacher[b] for b in order], 0.7, 1.3,
+        ),
+        1.0 / len(order),
+    )
+    want.backward()
+    assert got.data.tobytes() == want.data.tobytes()
+    for name, grad in grads_of(model).items():
+        assert got_grads[name].tobytes() == grad.tobytes(), name
+
+
 @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
 @pytest.mark.parametrize("with_teacher", [True, False], ids=["teacher", "no-teacher"])
 def test_trained_loss_is_the_gated_loss(with_teacher, train):
@@ -222,6 +262,31 @@ class TestLengthBucketedInference:
         assert any(got) and got[0] == got[4]
         for name, p in model.named_parameters().items():
             np.testing.assert_array_equal(p.grad, grads[name], err_msg=name)
+
+    def test_groups_larger_than_a_chunk_equal_one_sentence_calls(self, kind, monkeypatch):
+        """A length group of more than INFERENCE_CHUNK sentences runs in
+        chunks of at most that many, and still gives what one-sentence
+        calls give."""
+        model, _ = self.built(kind)
+        rng = np.random.default_rng(8)
+        many = [list(rng.integers(2, 30, size=4)) for _ in range(2 * INFERENCE_CHUNK + 5)] + INFER
+        sizes = []
+        probs = model._probs
+
+        def spy(batch, types):
+            sizes.append(len(batch))
+            return probs(batch, types)
+
+        monkeypatch.setattr(model, "_probs", spy)
+        got = model.predict_many(many)
+        assert max(sizes) == INFERENCE_CHUNK and sum(sizes) == len(many)
+        assert got == [model.predict(ids) for ids in many]
+        old = ["LOC", "ORG"]
+        got = model.teacher_predict(many, old)
+        want = [model.teacher_predict([ids], old)[0] for ids in many]
+        for g, w in zip(got, want):
+            for a, b in zip(arrays(g), arrays(w)):
+                assert a.tobytes() == b.tobytes()
 
     def test_teacher_pass_equals_one_sentence_calls(self, kind):
         model, grads = self.built(kind)

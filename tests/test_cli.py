@@ -384,9 +384,9 @@ class TestTrain:
 
     def test_non_finite_loss_is_runtime_error(self, tmp_path, capsys, monkeypatch):
         bench = synth(tmp_path)
-        batch_loss = SpanKLModel.batch_loss
+        placed_loss = SpanKLModel.placed_loss
         monkeypatch.setattr(
-            SpanKLModel, "batch_loss", lambda *a: batch_loss(*a) * float("nan")
+            SpanKLModel, "placed_loss", lambda *a: placed_loss(*a) * float("nan")
         )
         code = main(["train", "--benchmark", str(bench), "--out", str(tmp_path / "run")] + TRAIN_FAST)
         assert code == EXIT_RUNTIME
@@ -463,6 +463,34 @@ class TestTrain:
         code = main(["train", "--benchmark", str(bench), "--out", str(out)] + TRAIN_FAST)
         assert code == EXIT_DATA
         assert f"repeat within or across tasks: ['{repeated}']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["fewnerd", "toy"])
+    def test_task_type_missing_from_inventory_is_data_error(self, tmp_path, capsys, kind):
+        """A type that a task names but ``inventory`` lacks is a data
+        error before any output. A Few-NERD-kind run used to train six
+        steps and stop at the seventh; a toy-kind run never read the
+        inventory."""
+        if kind == "fewnerd":
+            corpus = write_kind_corpus(tmp_path / "corpus", FEWNERD_FINE, bare=True)
+            bench = tmp_path / "bench"
+            assert main(
+                ["synthesize", "--kind", "fewnerd", "--setup", "split-all",
+                 "--corpus", str(corpus), "--out", str(bench)]
+            ) == EXIT_OK
+        else:
+            bench = synth(tmp_path)
+        named = bench / "benchmark.json"
+        manifest = json.loads(named.read_text())
+        dropped = "art-b" if kind == "fewnerd" else manifest["tasks"][-1]["types"][0]
+        manifest["inventory"].remove(dropped)
+        del manifest["grouping"][dropped]
+        named.write_text(json.dumps(manifest))
+        out = tmp_path / "run"
+        code = main(["train", "--benchmark", str(bench), "--out", str(out)] + TRAIN_FAST)
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{named}: 'tasks' name types not in 'inventory': ['{dropped}']" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["cl", "noncl"])

@@ -12,6 +12,8 @@ from clner import clrunner
 from clner import numcore as nc
 from clner import spankl
 from clner.cldata import (
+    Sentence,
+    Span,
     default_toy_spec,
     generate_toy_corpus,
     permutations,
@@ -183,13 +185,14 @@ class TestRunCl:
         assert digest == recorded
 
     def test_non_finite_loss_aborts_with_step_epoch_and_batch(self, bench, monkeypatch):
-        batch_loss = SpanKLModel.batch_loss
+        placed_loss = SpanKLModel.placed_loss
 
-        def poisoned(self, ids, gold, current, distilled, *rest):
-            loss = batch_loss(self, ids, gold, current, distilled, *rest)
-            return loss if distilled is None else loss * float("nan")
+        def poisoned(self, ids, plan, *rest):
+            # a plan with old columns distils from a teacher: step 2 on
+            loss = placed_loss(self, ids, plan, *rest)
+            return loss * float("nan") if plan.shared[2] else loss
 
-        monkeypatch.setattr(SpanKLModel, "batch_loss", poisoned)
+        monkeypatch.setattr(SpanKLModel, "placed_loss", poisoned)
         with pytest.raises(RunError, match="step 2: non-finite loss nan at epoch 1, batch 1"):
             run_cl(RunConfig(**TINY), bench)
 
@@ -237,6 +240,45 @@ class TestRunCl:
         assert f"heads.{t1}.start_w" in step1
         assert f"heads.{t2}.start_w" not in step1
         assert f"heads.{t2}.start_w" in step2
+
+
+class TestLossPlanChecks:
+    """The loss targets of every training sentence of a step are built
+    and checked before the first update, so a bad last sentence stops
+    the step with the model as it was."""
+
+    @pytest.mark.parametrize("damage", ["gold-span", "teacher-shape"])
+    @pytest.mark.parametrize("kind", ["spankl", "extendner", "addner"])
+    def test_bad_last_sentence_raises_before_any_update(self, bench, monkeypatch, kind, damage):
+        config = RunConfig(**TINY | {"model": kind, "batch_size": 1})
+        tr = clrunner._Trainer(config, bench)
+        model = clrunner.build_model(config, len(tr.vocab), np.random.default_rng(0))
+        model.grow(bench.sequence.cumulative_types(1), np.random.default_rng(1))
+        task = bench.tasks[1]
+        train = list(task.train)
+        distilled = model.teacher_predict([tr.ids_of(s) for s in train], model.types)
+        model.grow(task.spec.types, np.random.default_rng(2))
+        if damage == "gold-span":
+            n = len(train[-1].tokens)
+            train[-1] = Sentence(train[-1].tokens)  # the constructor would refuse the span
+            train[-1].spans = (Span(n, n + 1, task.spec.types[0]),)
+            error = f"\\({n}, {n + 1}\\) outside a {n}-token sentence"
+        else:
+            last = distilled[-1]
+            if isinstance(last, dict):
+                distilled[-1] = {t: m[:-1] for t, m in last.items()}
+            else:
+                distilled[-1] = [h[:-1] for h in last] if isinstance(last, list) else last[:-1]
+            error = "distilled (matrix|rows)"
+        before = {k: v.copy() for k, v in model.state_arrays().items()}
+        updates = []
+        step = nc.AdamW.step
+        monkeypatch.setattr(nc.AdamW, "step", lambda opt: (updates.append(1), step(opt)))
+        with pytest.raises(ValueError, match=error):
+            tr.train_step(model, 2, train, task.dev, task.spec.types, distilled)
+        assert not updates
+        after = model.state_arrays()
+        assert all(np.array_equal(before[k], after[k]) for k in before)
 
 
 class TestStepPlan:

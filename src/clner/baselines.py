@@ -16,7 +16,7 @@ import numpy as np
 
 from clner import numcore as nc
 from clner.cldata import Span, decode_layer, encode_layer
-from clner.encoder import EncoderModel, LossPlan, TransformerEncoder, fan_in_uniform, length_mask
+from clner.encoder import EncoderModel, TransformerEncoder, fan_in_uniform, length_mask
 from clner.numcore.tensor import stable_softmax
 
 DEFAULT_PAD_CONSTANT = 1e-4
@@ -129,11 +129,10 @@ def _gold_block(spans, types: Sequence[str], tag_list: Sequence[str], size: int)
 def _teacher_rows(dist, size: int, width: int | None = None) -> np.ndarray:
     """One sentence's teacher rows, checked to be ``size`` rows (of
     ``width`` columns, when given)."""
-    shape = np.shape(dist)
-    if len(shape) != 2 or shape[0] != size or width not in (None, shape[1]):
-        expected = f"{size} rows" if width is None else (size, width)
-        raise nc.ShapeError(f"distilled rows have shape {shape}, expected {expected}")
-    return np.asarray(dist, dtype=np.float64)
+    rows = np.asarray(dist, dtype=np.float64)
+    if rows.ndim != 2 or len(rows) != size or width not in (None, rows.shape[1]):
+        raise nc.ShapeError(f"distilled rows have shape {rows.shape}, expected {size} rows")
+    return rows
 
 
 def _neg_entropy(rows: np.ndarray) -> np.ndarray:
@@ -143,19 +142,21 @@ def _neg_entropy(rows: np.ndarray) -> np.ndarray:
 
 
 def _placed_heads(
-    head_logits, hidden: nc.Tensor, lengths: np.ndarray, plan: LossPlan, alpha: float, beta: float
+    head_logits, hidden: nc.Tensor, lengths: np.ndarray, heads: Sequence, sentences: Sequence,
+    alpha: float, beta: float,
 ) -> nc.Tensor:
-    """Sum over the planned heads of one weighted cross entropy over the
-    batch's flattened token rows. A plan's head is (index, padding row);
-    a sentence's row holds per head its target rows and KD mask, placed
-    at its row offset. KD rows weigh beta, the other real rows alpha,
-    padding 0; a head with KD rows adds their constant negative entropy."""
+    """Sum over the planned heads, each an (index, padding row) pair, of
+    one weighted cross entropy over the batch's flattened token rows.
+    Each planned sentence holds per head its target rows and KD mask,
+    placed at its row offset. KD rows weigh beta, the other real rows
+    alpha, padding 0; a head with KD rows adds their constant negative
+    entropy."""
     rows, real, n = _flat_rows(hidden, lengths)
     loss: nc.Tensor | None = None
-    for h, (idx, pad_row) in enumerate(plan.shared):
+    for h, (idx, pad_row) in enumerate(heads):
         targets = np.tile(pad_row, (len(real), 1))
         kd = np.zeros_like(real)
-        for b, sentence in enumerate(plan.rows):
+        for b, sentence in enumerate(sentences):
             block, mask = sentence[h]
             targets[b * n : b * n + len(mask)] = block
             kd[b * n : b * n + len(mask)] = mask
@@ -194,7 +195,7 @@ class AddNerTagger(EncoderModel):
     def _head_logits(self, hidden: nc.Tensor, idx: int) -> nc.Tensor:
         return nc.matmul(hidden, self.weights[idx]) + self.biases[idx]
 
-    def loss_plan(self, sizes, batch_gold, current_types, distilled) -> LossPlan:
+    def loss_plan(self, sizes, batch_gold, current_types, distilled) -> tuple[list, list]:
         """alpha * cross entropy on heads whose types are current, against
         each sentence's one-hot gold rows; beta * KL against the teacher's
         own-head softmax on the older heads (a sentence's distilled
@@ -220,10 +221,10 @@ class AddNerTagger(EncoderModel):
                 ])
         if not heads:
             raise ValueError("no head received a training signal for these sentences")
-        return LossPlan(heads, list(zip(*columns)))
+        return heads, list(zip(*columns))
 
-    def _placed_sum(self, hidden, lengths, plan, alpha, beta):
-        return _placed_heads(self._head_logits, hidden, lengths, plan, alpha, beta)
+    def _placed_sum(self, hidden, lengths, heads, rows, alpha, beta):
+        return _placed_heads(self._head_logits, hidden, lengths, heads, rows, alpha, beta)
 
     def _probs(self, batch_ids: Sequence[Sequence[int]], types: Sequence[str]) -> list:
         """Per sentence of an equal-length batch, each head's (n, width)
@@ -275,7 +276,7 @@ class ExtendNerTagger(EncoderModel):
     def _logits(self, hidden: nc.Tensor) -> nc.Tensor:
         return nc.matmul(hidden, self.weight) + self.bias
 
-    def loss_plan(self, sizes, batch_gold, current_types, distilled) -> LossPlan:
+    def loss_plan(self, sizes, batch_gold, current_types, distilled) -> tuple[list, list]:
         """One head over the whole tag set. Per sentence: alpha * CE with
         the one-hot gold on rows whose gold is a current entity tag (on
         every row when no teacher exists), beta * KL against the
@@ -293,10 +294,12 @@ class ExtendNerTagger(EncoderModel):
                 kd = block[:, 0].copy()
                 block[kd > 0.0] = padded[kd > 0.0]
             rows.append(((block, kd),))
-        return LossPlan([(0, np.eye(len(tags))[0])], rows)
+        return [(0, np.eye(len(tags))[0])], rows
 
-    def _placed_sum(self, hidden, lengths, plan, alpha, beta):
-        return _placed_heads(lambda rows, _: self._logits(rows), hidden, lengths, plan, alpha, beta)
+    def _placed_sum(self, hidden, lengths, heads, rows, alpha, beta):
+        return _placed_heads(
+            lambda flat, _: self._logits(flat), hidden, lengths, heads, rows, alpha, beta
+        )
 
     def _probs(self, batch_ids: Sequence[Sequence[int]], types: Sequence[str]) -> np.ndarray:
         """(B, n, width) softmax rows of an equal-length batch over the

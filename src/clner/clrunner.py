@@ -282,7 +282,7 @@ class _Trainer:
         if n == 0:
             raise RunError(step, "no training sentences")
         ids = [self.ids_of(sent) for sent in train_sents]
-        plan = model.loss_plan(
+        shared, rows = model.loss_plan(
             [len(sent) for sent in ids], [sent.spans for sent in train_sents], types, distilled
         )
         for p in model.encoder_parameters():
@@ -303,8 +303,8 @@ class _Trainer:
                 batch = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
                 opt.zero_grad()
                 loss = model.placed_loss(
-                    [ids[idx] for idx in batch], plan.take(batch), cfg.alpha, cfg.beta, True,
-                    dropout_rng,
+                    [ids[idx] for idx in batch], shared, [rows[idx] for idx in batch], cfg.alpha,
+                    cfg.beta, True, dropout_rng,
                 )
                 if not np.isfinite(loss.data):
                     raise RunError(

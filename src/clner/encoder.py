@@ -165,20 +165,6 @@ class TransformerEncoder:
         return nc.reshape(hidden, (n, cfg.d_model)) if single else hidden
 
 
-@dataclass(frozen=True)
-class LossPlan:
-    """A step's loss targets, fixed while the step trains, in the model's
-    own form: what every sentence shares (``shared``: the scored heads
-    and their roles) and each sentence's prebuilt target blocks
-    (``rows``). ``take`` keeps the sentences of one batch."""
-
-    shared: object
-    rows: list
-
-    def take(self, picked: Iterable[int]) -> "LossPlan":
-        return LossPlan(self.shared, [self.rows[i] for i in picked])
-
-
 class EncoderModel:
     """What the span model and the taggers share: an encoder, the
     registered ``types`` and their growth, checkpoints written from
@@ -187,11 +173,13 @@ class EncoderModel:
     one), and graph-free inference with one forward pass per sentence
     length. A subclass defines only its heads (``_add_heads``,
     ``head_named``), ``loss_plan`` (gold spans and teacher labels ->
-    checked, prebuilt targets), ``_placed_sum`` (encoded batch and its
-    plan -> the sum of its sentences' losses), ``_probs`` (an equal-length
-    batch -> each sentence's probabilities over the given types, which
-    are also the teacher's labels) and ``_decode`` (one sentence's
-    probabilities -> its (start, end, type, score) spans)."""
+    checked, prebuilt targets: what every sentence shares and one row
+    per sentence), ``_placed_sum`` (encoded batch, the shared targets and
+    the batch's rows -> the sum of its sentences' losses), ``_probs``
+    (an equal-length batch -> each sentence's probabilities over the
+    given types, which are also the teacher's labels) and ``_decode``
+    (one sentence's probabilities -> its (start, end, type, score)
+    spans)."""
 
     def __init__(self, encoder: TransformerEncoder):
         self.encoder = encoder
@@ -263,15 +251,16 @@ class EncoderModel:
         return list(self.head_named().values())
 
     def placed_loss(
-        self, batch_ids: Sequence[Sequence[int]], plan: LossPlan, alpha: float, beta: float,
-        train: bool, rng: np.random.Generator | None,
+        self, batch_ids: Sequence[Sequence[int]], shared, rows: Sequence, alpha: float,
+        beta: float, train: bool, rng: np.random.Generator | None,
     ) -> nc.Tensor:
         """The loss contract: each sentence's loss, summed over its cells
-        by ``_placed_sum`` from the sentences' ``loss_plan``, averaged
-        over the batch only. Training plans once per step and places once
-        per batch."""
+        by ``_placed_sum`` from the ``loss_plan`` targets (``shared`` and
+        the batch's ``rows``), averaged over the batch only. Training
+        plans once per step and places once per batch."""
         hidden, lengths = self._encode(batch_ids, train, rng)
-        return nc.mul(self._placed_sum(hidden, lengths, plan, alpha, beta), 1.0 / len(lengths))
+        loss = self._placed_sum(hidden, lengths, shared, rows, alpha, beta)
+        return nc.mul(loss, 1.0 / len(lengths))
 
     def batch_loss(
         self, batch_ids: Sequence[Sequence[int]], batch_gold: Sequence[Iterable],
@@ -280,8 +269,9 @@ class EncoderModel:
     ) -> nc.Tensor:
         """``placed_loss`` of the batch's own plan. ``distilled`` holds
         each sentence's teacher labels, or is None without a teacher."""
-        plan = self.loss_plan([len(ids) for ids in batch_ids], batch_gold, current_types, distilled)
-        return self.placed_loss(batch_ids, plan, alpha, beta, train, rng)
+        sizes = [len(ids) for ids in batch_ids]
+        shared, rows = self.loss_plan(sizes, batch_gold, current_types, distilled)
+        return self.placed_loss(batch_ids, shared, rows, alpha, beta, train, rng)
 
     def sentence_loss(
         self,

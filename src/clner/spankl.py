@@ -14,12 +14,12 @@ past a sentence's end.
 """
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from clner import numcore as nc
-from clner.encoder import EncoderModel, LossPlan, TransformerEncoder, fan_in_uniform, length_mask
+from clner.encoder import EncoderModel, TransformerEncoder, fan_in_uniform, length_mask
 from clner.numcore.tensor import stable_sigmoid
 
 DEFAULT_SPAN_DIM = 50
@@ -53,16 +53,25 @@ def span_logits(
     return nc.span_scores(hidden, start_w, start_b, end_w, end_b, rows)
 
 
+class SpanColumns(NamedTuple):
+    """A span plan's scored ``types`` and the logit columns of the current
+    and the old ones (a slice when the old come first, as growth puts them)."""
+
+    types: tuple[str, ...]
+    current: list[int]
+    old: list[int] | slice
+
+
 def plan_objective(
     lengths: Sequence[int], types: Sequence[str], current_types: Sequence[str],
     golds: Sequence[Mapping[str, Iterable[tuple[int, int]]]],
     distilled: Sequence[Mapping[str, np.ndarray]] | None,
-) -> LossPlan:
+) -> tuple[SpanColumns, list]:
     """``objective``'s targets for logits over ``types``, checked and
-    built once: shared are ``types`` and the current and old columns;
-    each sentence's row is its gold cells as a (3, m) array of (column, i, j)
-    and, with old types, its teacher probabilities clamped into
-    [1e-7, 1 - 1e-7] as one (T_old, n_b, n_b) block in old-column order."""
+    built once: the shared columns, and per sentence a row of its gold
+    cells as a (3, m) array of (column, i, j) and, with old types, its
+    teacher probabilities clamped into [1e-7, 1 - 1e-7] as one
+    (T_old, n_b, n_b) block in old-column order."""
     column = {t: k for k, t in enumerate(types)}
     current = [column[t] for t in current_types]
     old_types = [t for t in types if t not in current_types]
@@ -96,28 +105,29 @@ def plan_objective(
             )
         rows.append((np.array(cells, dtype=np.int64).reshape(-1, 3).T, block))
     old = [column[t] for t in old_types]
-    if old and old == list(range(len(old))):  # growth puts the old types first
+    if old and old == list(range(len(old))):
         old = slice(0, len(old))  # a basic index places a block without index arrays
-    return LossPlan((tuple(types), current, old), rows)
+    return SpanColumns(tuple(types), current, old), rows
 
 
 def place_objective(
-    logits: nc.Tensor, lengths: np.ndarray, plan: LossPlan, alpha: float, beta: float
+    logits: nc.Tensor, lengths: np.ndarray, columns: SpanColumns, rows: Sequence,
+    alpha: float, beta: float,
 ) -> nc.Tensor:
-    """``objective`` of (B, T, n, n) logits from the batch's plan: the
-    planned gold cells take label 1 and the teacher blocks fill the old
-    columns, every other cell 0, in one weighted ``bce_with_logits``
+    """``objective`` of (B, T, n, n) logits from the batch's planned
+    ``rows``: the gold cells take label 1 and the teacher blocks fill the
+    old columns, every other cell 0, in one weighted ``bce_with_logits``
     call; the KL adds the placed teacher cells' constant negative entropy
     sum p log p + q log q."""
-    _, current, old = plan.shared
+    current, old = columns.current, columns.old
     owned = triu_mask(logits.shape[-1]) * length_mask(lengths, logits.shape[-1])[:, None, :]
     target = np.zeros(logits.shape)
     weight = np.zeros(logits.shape)
     weight[:, current] = alpha * owned[:, None]
-    gold = [cells for cells, _ in plan.rows]
+    gold = [cells for cells, _ in rows]
     k, i, j = np.concatenate(gold, axis=1)
     target[np.repeat(np.arange(len(gold)), [cells.shape[1] for cells in gold]), k, i, j] = 1.0
-    for b, (_, block) in enumerate(plan.rows):
+    for b, (_, block) in enumerate(rows):
         if block is not None:
             target[b, old, : block.shape[-1], : block.shape[-1]] = block
     if not old:
@@ -147,8 +157,8 @@ def objective(
     (start, end) spans; its distilled labels map each old type to the
     teacher's (n_b, n_b) probabilities. Both terms are the cross entropy
     softplus(z) - t*z against a soft target t."""
-    plan = plan_objective(lengths, types, current_types, golds, distilled)
-    return place_objective(logits, lengths, plan, alpha, beta)
+    columns, rows = plan_objective(lengths, types, current_types, golds, distilled)
+    return place_objective(logits, lengths, columns, rows, alpha, beta)
 
 
 def _one_sentence(matrices: Mapping[str, nc.Tensor], types: Sequence[str]):
@@ -304,7 +314,7 @@ class SpanKLModel(EncoderModel):
         wanted, logits = self._span_scores(self._encode(batch_ids)[0], types)
         return [dict(zip(wanted, p)) for p in stable_sigmoid(logits.data)]
 
-    def loss_plan(self, sizes, batch_gold, current_types, distilled) -> LossPlan:
+    def loss_plan(self, sizes, batch_gold, current_types, distilled) -> tuple[SpanColumns, list]:
         """``plan_objective`` for alpha * BCE over the current types +
         beta * KL over the old types; a sentence's distilled labels map
         each old type to its (n, n) teacher probabilities. The KD term
@@ -324,10 +334,10 @@ class SpanKLModel(EncoderModel):
             golds.append(by_type)
         return plan_objective(sizes, wanted, current_types, golds, distilled if use_kd else None)
 
-    def _placed_sum(self, hidden, lengths, plan, alpha, beta):
+    def _placed_sum(self, hidden, lengths, columns, rows, alpha, beta):
         """``place_objective`` on the scores of the planned types' heads."""
-        _, logits = self._span_scores(hidden, plan.shared[0])
-        return place_objective(logits, lengths, plan, alpha, beta)
+        _, logits = self._span_scores(hidden, columns.types)
+        return place_objective(logits, lengths, columns, rows, alpha, beta)
 
     def _decode(self, probs: Mapping[str, np.ndarray]) -> list:
         """Mutually non-overlapping spans above the threshold."""

@@ -180,10 +180,13 @@ def test_planned_loss_is_the_per_batch_formula(kind, with_teacher):
     model, teacher = build(kind, with_teacher)
     params = list(model.named_parameters().values())
     order = [3, 0, 2, 1]
-    plan = model.loss_plan([len(ids) for ids in BATCH], NESTED_GOLD, ["PER", "ORG"], teacher)
+    shared, rows = model.loss_plan(
+        [len(ids) for ids in BATCH], NESTED_GOLD, ["PER", "ORG"], teacher
+    )
     nc.zero_grad(params)
     got = model.placed_loss(
-        [BATCH[b] for b in order], plan.take(order), 0.7, 1.3, True, np.random.default_rng(5)
+        [BATCH[b] for b in order], shared, [rows[b] for b in order], 0.7, 1.3, True,
+        np.random.default_rng(5),
     )
     got.backward()
     got_grads = grads_of(model)

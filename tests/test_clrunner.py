@@ -187,10 +187,10 @@ class TestRunCl:
     def test_non_finite_loss_aborts_with_step_epoch_and_batch(self, bench, monkeypatch):
         placed_loss = SpanKLModel.placed_loss
 
-        def poisoned(self, ids, plan, *rest):
+        def poisoned(self, ids, columns, *rest):
             # a plan with old columns distils from a teacher: step 2 on
-            loss = placed_loss(self, ids, plan, *rest)
-            return loss * float("nan") if plan.shared[2] else loss
+            loss = placed_loss(self, ids, columns, *rest)
+            return loss * float("nan") if columns.old else loss
 
         monkeypatch.setattr(SpanKLModel, "placed_loss", poisoned)
         with pytest.raises(RunError, match="step 2: non-finite loss nan at epoch 1, batch 1"):

@@ -1,11 +1,11 @@
 """Alternating benchmark pairs of the working tree against another revision.
 
-    python3 tools/pairs.py REV --workloads W,.. --pairs N --seconds S --label L [--seed0 K]
+    python3 tools/pairs.py REV --workloads W,.. --pairs N --seconds S --label L
 
 Exports REV with ``git archive`` and runs ``bench/run.py --workload W
 --seed SEED --seconds S --trace 0`` on that export and on the working
-tree, each with its own ``src/`` and ``bench/``. Pair k runs every
-workload at seed K + k - 1, the export first on odd pairs and second on
+tree, each with its own ``src/`` and ``bench/``. Pair k (N >= 10) runs
+every workload at seed k, the export first on odd pairs and second on
 even ones, so that drift of the machine's speed falls on both sides.
 
 Writes ``BENCH_<L>.json`` at the repository root: both revisions, the
@@ -13,9 +13,10 @@ CPU count, the numpy and Python versions, and per workload the status of
 every run and per end-to-end metric of ``BENCHMARK.json`` the per-pair
 values, each side's median [q1, q3], the ratio of the medians, the pairs
 the change won, and the verdict. A metric counts as a gain when the
-change wins at least 90% of the pairs (9 of 10) and the gap between the
-medians exceeds the parent's interquartile range. ``final_macro_f1`` is
-also checked for bit identity on every pair.
+change wins at least 90% of at least 10 pairs, the gap between the
+medians exceeds the parent's interquartile range, every run is correct
+and the change fails no larger share of its operations than the parent.
+``final_macro_f1`` is also checked for bit identity on every pair.
 """
 from __future__ import annotations
 
@@ -32,6 +33,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 WIN_SHARE = 0.9
+MIN_PAIRS = 10
+SIDES = ("parent", "change")
 
 
 def summary(values: list[float]) -> dict:
@@ -40,16 +43,27 @@ def summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "iqr": [q1, q3]}
 
 
-def verdict(parent: list[float], change: list[float], better: str) -> dict:
+def failed_share(runs: list[dict], side: str) -> float:
+    """The share of one side's operations that failed over all pairs."""
+    attempted = sum(r[side]["attempted"] for r in runs)
+    return sum(r[side]["failed"] for r in runs) / attempted if attempted else 0.0
+
+
+def verdict(parent: list[float], change: list[float], better: str, runs: list[dict]) -> dict:
     """Compare paired values of one metric, ``better`` being "lower" or
     "higher": the pairs won by the change, the ratio of the medians, and
-    whether that is a gain (at least WIN_SHARE of the pairs won and the
-    median gap beyond the parent's interquartile range)."""
+    whether that is a gain (at least MIN_PAIRS pairs, WIN_SHARE of them
+    won, the median gap beyond the parent's interquartile range, and, in
+    ``runs``, each side's correct/attempted/failed per pair, every run
+    correct and no larger failed share for the change)."""
     sign = 1.0 if better == "lower" else -1.0
     won = sum(sign * (p - c) > 0.0 for p, c in zip(parent, change))
     base, new = summary(parent), summary(change)
     spread = base["iqr"][1] - base["iqr"][0]
     gap = sign * (base["median"] - new["median"])
+    sound = all(r[side]["correct"] for r in runs for side in SIDES) and failed_share(
+        runs, "change"
+    ) <= failed_share(runs, "parent")
     return {
         "better": better,
         "parent": parent,
@@ -60,7 +74,8 @@ def verdict(parent: list[float], change: list[float], better: str) -> dict:
         "change_iqr": new["iqr"],
         "ratio": new["median"] / base["median"] if base["median"] else None,
         "won": won,
-        "gain": won >= math.ceil(WIN_SHARE * len(parent)) and gap > spread,
+        "gain": len(parent) >= MIN_PAIRS and won >= math.ceil(WIN_SHARE * len(parent))
+        and gap > spread and sound,
     }
 
 
@@ -88,11 +103,12 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="the parent revision")
     parser.add_argument("--workloads", required=True, help="comma-separated workload names")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     parser.add_argument("--seconds", type=float, default=35.0)
-    parser.add_argument("--seed0", type=int, default=1)
     parser.add_argument("--label", required=True)
     args = parser.parse_args(argv)
+    if args.pairs < MIN_PAIRS:
+        parser.error(f"--pairs must be at least {MIN_PAIRS}")
     workloads = args.workloads.split(",")
     metrics = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     import numpy
@@ -117,32 +133,32 @@ def main(argv: list[str]) -> int:
         ).stdout
         subprocess.run(["tar", "-x", "-C", str(export)], input=archive, check=True)
         for k in range(1, args.pairs + 1):
-            seed = args.seed0 + k - 1
             for w in workloads:
-                sides = [("parent", export), ("change", REPO)]
-                out = {side: bench_run(tree, w, seed, args.seconds)
-                       for side, tree in (sides if k % 2 else sides[::-1])}
-                runs[w].append({"seed": seed, "parent_first": bool(k % 2)} | out)
+                trees = [("parent", export), ("change", REPO)]
+                out = {side: bench_run(tree, w, k, args.seconds)
+                       for side, tree in (trees if k % 2 else trees[::-1])}
+                runs[w].append({"seed": k, "parent_first": bool(k % 2)} | out)
                 print(f"pair {k} {w}: " + ", ".join(
                     f"{side} run_s {out[side]['metrics']['run_s']['value']:.3f}"
-                    for side, _ in sides), file=sys.stderr)
+                    for side in SIDES), file=sys.stderr)
     for w, pairs in runs.items():
         values = {
             side: {m["name"]: [r[side]["metrics"][m["name"]]["value"] for r in pairs] for m in metrics}
-            for side in ("parent", "change")
+            for side in SIDES
         }
+        status = [
+            {"seed": r["seed"], "parent_first": r["parent_first"]}
+            | {side: {key: r[side][key] for key in ("correct", "attempted", "failed")}
+               for side in SIDES}
+            for r in pairs
+        ]
         record["workloads"][w] = {
-            "runs": [
-                {"seed": r["seed"], "parent_first": r["parent_first"]}
-                | {side: {key: r[side][key] for key in ("correct", "attempted", "failed")}
-                   for side in ("parent", "change")}
-                for r in pairs
-            ],
+            "runs": status,
             "final_macro_f1_identical": values["parent"]["final_macro_f1"]
             == values["change"]["final_macro_f1"],
             "metrics": {
                 m["name"]: verdict(values["parent"][m["name"]], values["change"][m["name"]],
-                                   m["better"])
+                                   m["better"], status)
                 for m in metrics
             },
         }

@@ -127,9 +127,9 @@ def _gold_block(spans, types: Sequence[str], tag_list: Sequence[str], size: int)
 
 
 def _teacher_rows(dist, size: int, width: int | None = None) -> np.ndarray:
-    """One sentence's teacher rows, checked to be ``size`` rows (of
-    ``width`` columns, when given)."""
-    rows = np.asarray(dist, dtype=np.float64)
+    """A copy of one sentence's teacher rows, checked to be ``size`` rows
+    (of ``width`` columns, when given)."""
+    rows = np.array(dist, dtype=np.float64)
     if rows.ndim != 2 or len(rows) != size or width not in (None, rows.shape[1]):
         raise nc.ShapeError(f"distilled rows have shape {rows.shape}, expected {size} rows")
     return rows

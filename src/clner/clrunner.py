@@ -3,9 +3,8 @@
 CL and non-CL runs share one step loop over the task sequence: teacher
 predictions with the previous step's selected model (CL only), head
 growth, multi-epoch training on the weighted loss, dev-based epoch
-selection, then test evaluation over all types learned so far. Non-CL
-reference runs train from scratch at every step on the union of the data
-seen so far with annotations restored for every type learned so far.
+selection, then test evaluation over all types learned so far.
+``step_plan`` says what each step of either protocol does.
 
 All randomness flows from the run seed through fixed named streams, so a
 (seed, config, benchmark) triple reproduces bit-identical metrics. Runs
@@ -21,7 +20,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -260,31 +259,27 @@ class _Trainer:
         return evaluate_step(step, golds, preds, list(eval_types), self.grouping), decoded
 
     def train_step(
-        self,
-        model,
-        step: int,
-        train_sents: Sequence[Sentence],
-        dev_sents: Sequence[Sentence],
-        types: Sequence[str],
-        distilled: Sequence | None,
+        self, model, step: int, train_sents: Sequence[Sentence], dev_sents: Sequence[Sentence],
+        types: Sequence[str], distilled: list | None,
     ) -> tuple[list[float], int]:
         """Multi-epoch training on ``types`` with selection by dev
         macro-F1 over the same types; the model ends holding the weights
         of the best dev epoch (later epochs win ties). The loss targets of
         every training sentence are planned (and checked) once, before
-        the first update; each mini-batch is one padded graph and one
-        ``placed_loss`` call. A frozen encoder is kept out of the graph,
-        so it gathers no gradient. A non-finite loss aborts the run
-        before its backward pass, a non-finite gradient before the
-        update."""
+        the first update, and the teacher's labels are then emptied out
+        of ``distilled``, so that the plan alone holds them; each
+        mini-batch is one padded graph and one ``placed_loss`` call. A
+        frozen encoder is kept out of the graph, so it gathers no
+        gradient. A non-finite loss aborts the run before its backward
+        pass, a non-finite gradient before the update."""
         cfg = self.config
         n = len(train_sents)
-        if n == 0:
-            raise RunError(step, "no training sentences")
         ids = [self.ids_of(sent) for sent in train_sents]
         shared, rows = model.loss_plan(
             [len(sent) for sent in ids], [sent.spans for sent in train_sents], types, distilled
         )
+        if distilled is not None:
+            distilled.clear()
         for p in model.encoder_parameters():
             p.requires_grad = not cfg.freeze_encoder
             p.grad = None
@@ -366,90 +361,105 @@ class _Trainer:
         (d / "predictions.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def check_lengths(bench: SynthesizedBenchmark, max_len: int) -> None:
-    """Reject, before any training, a sentence of any split of any task
-    that is longer than the encoder's max_len; the error names the task,
-    the split and the 0-based sentence index."""
-    for l, task in enumerate(bench.tasks, start=1):
+class PlannedStep(NamedTuple):
+    """A step of ``step_plan``: build a fresh model or not, the data, the
+    teacher pass's old types (empty: no pass), the types to grow and train."""
+
+    fresh: bool
+    train: list[Sentence]
+    dev: list[Sentence]
+    teacher: tuple[str, ...]
+    types: tuple[str, ...]
+
+
+def step_plan(mode: str, config: RunConfig, bench: SynthesizedBenchmark) -> list[PlannedStep]:
+    """What each step of ``mode`` does, checked whole before step 1. CL
+    builds the model at step 1, trains each step on its task's data and,
+    with beta > 0 from step 2 on, distils from a teacher pass over the
+    old types taken before growth (the single-head tagger's teacher must
+    be pre-extension). Non-CL builds a fresh model, which has no old
+    types and so no teacher, at every step and trains every type learned
+    so far on the union of the data seen so far. Each split of each task
+    must hold sentences of at most max_len tokens and spans of its types
+    only (train, dev: the task's; test: its step's learned; *_full: the
+    inventory), and each step training sentences, else a CorpusError."""
+    cl = mode == "cl"
+    plan = []
+    for step, task in enumerate(bench.tasks, start=1):
+        learned = bench.sequence.cumulative_types(step)
+        allowed = {"train": task.spec.types, "dev": task.spec.types, "test": learned,
+                   "train_full": bench.inventory, "dev_full": bench.inventory}
         for split in SPLITS:
             for idx, sent in enumerate(getattr(task, split)):
-                if len(sent.tokens) > max_len:
-                    raise CorpusError(
-                        f"task {l} {split} sentence {idx}: length {len(sent.tokens)} "
-                        f"exceeds max_len {max_len}"
-                    )
+                if len(sent.tokens) > config.max_len:
+                    raise CorpusError(f"task {step} {split} sentence {idx}: length "
+                                      f"{len(sent.tokens)} exceeds max_len {config.max_len}")
+                for span in sent.spans:
+                    if span.type not in allowed[split]:
+                        raise CorpusError(f"task {step} {split} sentence {idx}: type "
+                                          f"{span.type!r} not in {allowed[split]}")
+        types = task.spec.types if cl else learned
+        teacher = learned[: -len(types)] if cl and config.beta > 0 else ()
+        data = (task.train, task.dev) if cl else (bench.noncl_train(step), bench.noncl_dev(step))
+        if not data[0]:
+            raise CorpusError(f"step {step}: no training sentences")
+        plan.append(PlannedStep(step == 1 or not cl, *data, teacher, types))
+    return plan
 
 
 def _run(mode: str, config: RunConfig, bench: SynthesizedBenchmark, out_dir=None) -> RunResult:
-    """The step loop of both protocols: grow heads for the step's new
-    types, train and select on exactly those, evaluate every type learned
-    so far. CL builds the model once and, with beta > 0, distils from a
-    teacher pass over the old types taken before growth (the single-head
-    tagger's teacher must be pre-extension). Non-CL builds a fresh model,
-    which has no old types and so no teacher, at every step and trains it
-    on the union of the data seen so far."""
-    check_lengths(bench, config.max_len)
+    """Execute ``step_plan``, testing each step on every type learned."""
+    plan = step_plan(mode, config, bench)
     tr = _Trainer(config, bench, out_dir)
     result = RunResult(mode, config, bench.setup, bench.kind, bench.sequence.permutation)
-    model = None
-    for step, task in enumerate(bench.tasks, start=1):
-        if model is None or mode == "noncl":
+    for step, (todo, task) in enumerate(zip(plan, bench.tasks), start=1):
+        if todo.fresh:
             model = build_model(config, len(tr.vocab), stream_rng(config.seed, _INIT, step))
-        if mode == "cl":
-            train_sents, dev_sents = task.train, task.dev
-        else:
-            train_sents, dev_sents = bench.noncl_train(step), bench.noncl_dev(step)
         distilled = digest = None
-        if config.beta > 0.0 and model.types:
-            distilled = model.teacher_predict([tr.ids_of(s) for s in train_sents], model.types)
+        if todo.teacher:
+            distilled = model.teacher_predict([tr.ids_of(s) for s in todo.train], todo.teacher)
             digest = cache_digest(distilled)
+        model.grow(todo.types, stream_rng(config.seed, _GROW, step))
+        dev_curve, chosen = tr.train_step(model, step, todo.train, todo.dev, todo.types, distilled)
         learned = bench.sequence.cumulative_types(step)
-        new_types = learned[len(model.types) :]
-        model.grow(new_types, stream_rng(config.seed, _GROW, step))
-        dev_curve, chosen = tr.train_step(model, step, train_sents, dev_sents, new_types, distilled)
         step_eval, decoded = tr.evaluate(model, task.test, learned, step)
         record = StepRecord(step, dev_curve, chosen, step_eval, digest)
         result.steps.append(record)
         tr.dump_step(model, mode, step, record, task.test, decoded)
-        log.info(
-            "%s step %d/%d: dev %s, selected epoch %d, test macro %.4f", mode, step,
-            len(bench.tasks), [f"{x:.3f}" for x in dev_curve], chosen, step_eval.macro,
-        )
+        log.info("%s step %d/%d: dev %s, selected epoch %d, test macro %.4f", mode, step,
+                 len(bench.tasks), [f"{x:.3f}" for x in dev_curve], chosen, step_eval.macro)
     if tr.out_dir is not None:
         write_run_records(tr.out_dir, result)
     return result
 
 
 def run_cl(config: RunConfig, bench: SynthesizedBenchmark, out_dir=None) -> RunResult:
-    """The continual protocol: teacher pass, grow, train, select by dev
-    macro-F1, evaluate on the step's test set."""
+    """The continual protocol of ``step_plan``."""
     return _run("cl", config, bench, out_dir)
 
 
 def run_noncl(config: RunConfig, bench: SynthesizedBenchmark, out_dir=None) -> RunResult:
-    """Per-step upper bound: train from scratch on the union of tasks
-    1..l with annotations restored for every type learned so far."""
+    """The per-step non-CL upper bound of ``step_plan``."""
     return _run("noncl", config, bench, out_dir)
 
 
 def load_step_model(
     config: RunConfig, bench: SynthesizedBenchmark, run_dir, step: int, mode: str = "cl"
 ):
-    """Rebuild the model structure of the given step as ``_run`` built
-    it under ``mode`` (CL: built at step 1 and grown once per task;
-    non-CL: built and grown once at that step) and load that step's
+    """Rebuild the model structure of the given step by replaying
+    ``step_plan``'s builds and growths up to it, and load that step's
     selected checkpoint (resume support)."""
     path = step_path(run_dir, mode, step) / "checkpoint.bin"
     try:
         arrays = nc.load_checkpoint(path)
     except (OSError, nc.CheckpointError) as e:
         raise RunError(step, f"cannot load checkpoint {path}: {e}") from e
-    first = 1 if mode == "cl" else step
+    plan = step_plan(mode, config, bench)[:step]
+    first = max(l for l, todo in enumerate(plan, start=1) if todo.fresh)
     vocab = Vocab(bench.vocab_tokens)
     model = build_model(config, len(vocab), stream_rng(config.seed, _INIT, first))
     for l in range(first, step + 1):
-        learned = bench.sequence.cumulative_types(l)
-        model.grow(learned[len(model.types) :], stream_rng(config.seed, _GROW, l))
+        model.grow(plan[l - 1].types, stream_rng(config.seed, _GROW, l))
     model.load_arrays(arrays)
     return model
 

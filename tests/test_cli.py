@@ -548,6 +548,45 @@ class TestTrain:
             assert f"task 3 train sentence {index}: length 40 exceeds max_len 32" in err
             assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["spankl", "extendner", "addner"])
+    def test_span_of_a_later_task_type_is_data_error(self, tmp_path, capsys, model):
+        """A task-2 training span of a task-3 type stops both modes
+        before any output. SpanKL used to write step 1 and exit 1 at
+        step 2; the taggers trained on, ignoring the span."""
+        bench = synth(tmp_path, **{"--tasks": 3})
+        stray = json.loads((bench / "benchmark.json").read_text())["tasks"][2]["types"][0]
+        train_file = bench / "task_02" / "train.txt"
+        text = train_file.read_text(encoding="utf-8")
+        train_file.write_text(text.replace("\tO\n", f"\tB-{stray}\n", 1), encoding="utf-8")
+        for mode in ("cl", "noncl"):
+            out = tmp_path / f"run-{mode}"
+            code = main(
+                ["train", "--benchmark", str(bench), "--model", model, "--mode", mode,
+                 "--out", str(out)] + TRAIN_FAST
+            )
+            assert code == EXIT_DATA
+            assert f"task 2 train sentence 0: type '{stray}' not in (" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_test_span_outside_the_inventory_is_data_error(self, tmp_path, capsys):
+        """A Few-NERD-kind step-2 test span of a type outside the inventory
+        stops the run before any output; it used to exit 1 at step 2
+        ("grouping does not cover fine types") with a partial tree."""
+        corpus = write_kind_corpus(tmp_path / "corpus", FEWNERD_FINE, bare=True)
+        bench = tmp_path / "bench"
+        assert main(
+            ["synthesize", "--kind", "fewnerd", "--setup", "split-all",
+             "--corpus", str(corpus), "--out", str(bench)]
+        ) == EXIT_OK
+        test_file = bench / "task_02" / "test.txt"
+        text = test_file.read_text(encoding="utf-8")
+        test_file.write_text(text.replace("\tO\n", "\tB-zoo-x\n", 1), encoding="utf-8")
+        out = tmp_path / "run"
+        code = main(["train", "--benchmark", str(bench), "--out", str(out)] + TRAIN_FAST)
+        assert code == EXIT_DATA
+        assert "task 2 test sentence 0: type 'zoo-x' not in (" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_multiple_seeds(self, tmp_path):
         bench = synth(tmp_path)
         out = tmp_path / "run_multi"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from clner import clrunner
 from clner import numcore as nc
 from clner import spankl
 from clner.cldata import (
+    CorpusError,
     Sentence,
     Span,
     default_toy_spec,
@@ -28,7 +30,7 @@ from clner.clrunner import (
     run_cl,
     run_noncl,
 )
-from clner.encoder import TransformerEncoder, Vocab
+from clner.encoder import EncoderModel, TransformerEncoder, Vocab
 from clner.metrics import Counts, StepEval, TypeScore
 from clner.spankl import SpanKLModel
 from helpers import reference_encode, reference_span_scores, sigmoid
@@ -282,37 +284,33 @@ class TestLossPlanChecks:
 
 
 class TestStepPlan:
-    """What each protocol trains at each step: the types, the sentences
-    and whether a teacher is used."""
-
-    @staticmethod
-    def plan(runner, config, bench, monkeypatch):
-        steps = []
-        train_step = clrunner._Trainer.train_step
-
-        def spy(self, model, step, train_sents, dev_sents, types, distilled):
-            steps.append((tuple(types), len(train_sents), distilled is not None))
-            return train_step(self, model, step, train_sents, dev_sents, types, distilled)
-
-        monkeypatch.setattr(clrunner._Trainer, "train_step", spy)
-        runner(dataclasses.replace(config, epochs=1), bench)
-        return steps
+    """What each protocol does at each step, read from ``step_plan``: the
+    model build, the sentences, the teacher pass and the types."""
 
     @pytest.mark.parametrize("beta", [1.0, 0.0])
-    def test_cl_trains_each_task_on_its_data(self, bench3, monkeypatch, beta):
-        steps = self.plan(run_cl, RunConfig(**TINY, beta=beta), bench3, monkeypatch)
-        assert steps == [
-            (task.spec.types, len(task.train), beta > 0 and step > 1)
+    def test_cl_trains_each_task_on_its_data(self, bench3, beta):
+        plan = clrunner.step_plan("cl", RunConfig(**TINY, beta=beta), bench3)
+        assert plan == [
+            (step == 1, task.train, task.dev,
+             bench3.sequence.cumulative_types(step - 1) if beta > 0 else (), task.spec.types)
             for step, task in enumerate(bench3.tasks, start=1)
         ]
 
     @pytest.mark.parametrize("model", ["spankl", "extendner"])
-    def test_noncl_trains_every_learned_type_on_the_union(self, bench3, monkeypatch, model):
-        steps = self.plan(run_noncl, RunConfig(**TINY, model=model), bench3, monkeypatch)
-        assert steps == [
-            (bench3.sequence.cumulative_types(step), len(bench3.noncl_train(step)), False)
+    def test_noncl_trains_every_learned_type_on_the_union(self, bench3, model):
+        plan = clrunner.step_plan("noncl", RunConfig(**TINY, model=model), bench3)
+        assert plan == [
+            (True, bench3.noncl_train(step), bench3.noncl_dev(step), (),
+             bench3.sequence.cumulative_types(step))
             for step in (1, 2, 3)
         ]
+
+    @pytest.mark.parametrize("mode", ["cl", "noncl"])
+    def test_step_without_training_sentences_is_refused(self, bench3, mode):
+        tasks = [dataclasses.replace(task, train=[], train_full=[]) for task in bench3.tasks]
+        empty = dataclasses.replace(bench3, tasks=tasks)
+        with pytest.raises(CorpusError, match="^step 1: no training sentences$"):
+            clrunner.step_plan(mode, RunConfig(**TINY), empty)
 
 
 class TestRunNonCl:
@@ -338,19 +336,52 @@ class TestRunNonCl:
 
 
 @pytest.mark.parametrize("model", ["spankl", "extendner", "addner"])
-def test_load_step_model_reloads_every_noncl_step(bench, tmp_path, model):
-    """Each non-CL step's model, rebuilt from that step's init and growth
-    streams and its checkpoint, decodes the step's test set as the run
-    recorded."""
+@pytest.mark.parametrize("mode", ["cl", "noncl"])
+def test_load_step_model_reloads_every_step(bench, tmp_path, mode, model):
+    """Each step's model, rebuilt by replaying the step plan's init and
+    growth streams and loaded from that step's checkpoint, decodes the
+    step's test set as the run recorded."""
     config = RunConfig(**TINY, model=model)
-    run_noncl(config, bench, tmp_path)
+    {"cl": run_cl, "noncl": run_noncl}[mode](config, bench, tmp_path)
     vocab = Vocab(bench.vocab_tokens)
     for step, task in enumerate(bench.tasks, start=1):
-        reloaded = load_step_model(config, bench, tmp_path, step, mode="noncl")
-        path = tmp_path / "noncl" / f"step_{step:02d}" / "predictions.jsonl"
+        reloaded = load_step_model(config, bench, tmp_path, step, mode=mode)
+        path = tmp_path / mode / f"step_{step:02d}" / "predictions.jsonl"
         want = [json.loads(line)["spans"] for line in path.read_text().splitlines()]
         got = reloaded.predict_many([vocab.encode(s.tokens) for s in task.test])
         assert [[list(span) for span in spans] for spans in got] == want
+
+
+@pytest.mark.parametrize("model", ["spankl", "extendner", "addner"])
+def test_teacher_labels_die_once_the_loss_plan_is_built(bench, monkeypatch, model):
+    """After the digest is taken, nothing holds the teacher pass's
+    arrays but the step's loss plan, which keeps its own: each array is
+    dead by the step's first ``placed_loss`` call."""
+    refs, alive = [], []
+    teacher_predict, placed_loss = EncoderModel.teacher_predict, EncoderModel.placed_loss
+
+    def arrays(labels):
+        for item in labels:
+            if isinstance(item, np.ndarray):
+                yield item
+            else:
+                yield from arrays(item.values() if isinstance(item, dict) else item)
+
+    def keep(self, sentences_ids, old_types):
+        labels = teacher_predict(self, sentences_ids, old_types)
+        refs.extend(weakref.ref(a) for a in arrays(labels))
+        return labels
+
+    def check(self, *args):
+        if refs:
+            alive.append(sum(ref() is not None for ref in refs))
+            refs.clear()
+        return placed_loss(self, *args)
+
+    monkeypatch.setattr(EncoderModel, "teacher_predict", keep)
+    monkeypatch.setattr(EncoderModel, "placed_loss", check)
+    run_cl(RunConfig(**TINY | {"model": model, "epochs": 1}), bench)
+    assert alive == [0]
 
 
 def test_fused_layers_write_the_run_trees_of_the_composed_graph(bench, tmp_path, monkeypatch):

@@ -1,19 +1,27 @@
 """The verdict of ``tools/pairs.py``: a metric gains only when the change
 wins at least 9 of at least 10 pairs, the median gap exceeds the
 parent's interquartile range, every run is correct and the change fails
-no larger share of its operations."""
+no larger share of its operations. And the tree comparison of
+``tools/identity.py``."""
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "pairs", Path(__file__).resolve().parents[1] / "tools" / "pairs.py"
-)
-pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(pairs)
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+pairs, identity = _load("pairs"), _load("identity")
 
 PARENT = [1.00, 1.08, 0.97, 1.12, 1.03, 0.95, 1.10, 1.01, 0.99, 1.05]
 
@@ -66,3 +74,21 @@ def test_verdict_refuses_a_gain_with_failing_runs(status):
     change = [p * 0.85 for p in PARENT]
     assert not pairs.verdict(PARENT, change, "lower", status)["gain"]
     assert pairs.verdict(PARENT, change, "lower", runs(change_failed=1))["gain"]
+
+
+def test_identity_compare_reports_what_differs_beyond_manifest_inputs(tmp_path):
+    """A file on one side only and a manifest that differs outside its
+    ``inputs`` are reported; a manifest that differs only in ``inputs``
+    (the output paths) counts as equal."""
+    left, right = tmp_path / "left", tmp_path / "right"
+    for root, seed in ((left, 1), (right, 2)):
+        for name, manifest in (("run", {"seeds": [1]}), ("changed", {"seeds": [seed]})):
+            (root / name).mkdir(parents=True)
+            (root / name / "manifest.json").write_text(
+                json.dumps({"inputs": {"benchmark": str(root)}} | manifest)
+            )
+        (root / "same.txt").write_text("x")
+    (left / "only.txt").write_text("x")
+    counts, differ = identity.compare(left, right)
+    assert counts == {"files": 1, "manifests": 1}
+    assert differ == ["changed/manifest.json", "only.txt (one side only)"]

@@ -46,6 +46,16 @@ FEWNERD_FINE = tuple(
 )
 
 
+def export_tree(rev: str, dest: Path) -> None:
+    """Write the files of revision ``rev`` of this repository under
+    ``dest`` (made if missing) with ``git archive``."""
+    dest.mkdir(parents=True, exist_ok=True)
+    archive = subprocess.run(
+        ["git", "-C", str(REPO), "archive", rev], check=True, capture_output=True
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
 def _clner(tree: Path, *args) -> None:
     env = os.environ | {
         "PYTHONPATH": str(tree / "src"),
@@ -144,15 +154,10 @@ def main(argv: list[str]) -> int:
     rev = argv[0]
     with tempfile.TemporaryDirectory(prefix="clner-identity-") as tmp:
         tmp = Path(tmp)
-        export = tmp / "export"
-        export.mkdir()
-        archive = subprocess.run(
-            ["git", "-C", str(REPO), "archive", rev], check=True, capture_output=True
-        ).stdout
-        subprocess.run(["tar", "-x", "-C", str(export)], input=archive, check=True)
+        export_tree(rev, tmp / "export")
         corpus = tmp / "fewnerd_corpus"
         write_fewnerd_corpus(corpus)
-        run_recipe(export, tmp / "base", corpus)
+        run_recipe(tmp / "export", tmp / "base", corpus)
         run_recipe(REPO, tmp / "work", corpus)
         counts, differ = compare(tmp / "base", tmp / "work")
     print(f"equal: {counts['files']} files, {counts['manifests']} manifests (without inputs)")

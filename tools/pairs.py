@@ -2,9 +2,10 @@
 
     python3 tools/pairs.py REV --workloads W,.. --pairs N --seconds S --label L
 
-Exports REV with ``git archive`` and runs ``bench/run.py --workload W
---seed SEED --seconds S --trace 0`` on that export and on the working
-tree, each with its own ``src/`` and ``bench/``. Pair k (N >= 10) runs
+Exports REV with ``git archive`` (``identity.export_tree``) and runs
+``bench/run.py --workload W --seed SEED --seconds S --trace 0`` on that
+export and on the working tree, each with its own ``src/`` and
+``bench/``. Pair k (N >= 10) runs
 every workload at seed k, the export first on odd pairs and second on
 even ones, so that drift of the machine's speed falls on both sides.
 
@@ -31,7 +32,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from identity import REPO, export_tree  # noqa: E402
+
 WIN_SHARE = 0.9
 MIN_PAIRS = 10
 SIDES = ("parent", "change")
@@ -128,10 +131,7 @@ def main(argv: list[str]) -> int:
     runs: dict[str, list[dict]] = {w: [] for w in workloads}
     with tempfile.TemporaryDirectory(prefix="clner-pairs-") as tmp:
         export = Path(tmp)
-        archive = subprocess.run(
-            ["git", "-C", str(REPO), "archive", args.rev], check=True, capture_output=True
-        ).stdout
-        subprocess.run(["tar", "-x", "-C", str(export)], input=archive, check=True)
+        export_tree(args.rev, export)
         for k in range(1, args.pairs + 1):
             for w in workloads:
                 trees = [("parent", export), ("change", REPO)]

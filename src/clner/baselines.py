@@ -59,36 +59,27 @@ def tag_decode(tags: Sequence[str]) -> list[Span]:
 
 def combine_heads(
     head_outputs: Sequence[tuple[Sequence[str], np.ndarray]],
-) -> tuple[list[str], list[float]]:
+) -> tuple[list, np.ndarray]:
     """Merge per-task head predictions into one flat tag sequence.
 
     Per token: if every head's argmax is its own O, emit O; otherwise
     adopt the highest-probability non-O argmax across heads (ties by head
-    order, then tag order). Returns the merged tags, in which an orphan
+    order). Each head gives its tag list and (..., n, width) softmax
+    rows. Returns the merged tags as (nested) lists, in which an orphan
     I-X may remain (``tag_decode`` opens a mention there), and the
-    adopted probability per token (1.0 where O).
+    (..., n) adopted probabilities (1.0 where O).
     """
     if not head_outputs:
         raise ValueError("combine_heads needs at least one head output")
-    n = head_outputs[0][1].shape[0]
-    tags, scores = [], []
-    for pos in range(n):
-        best: tuple[float, int, int] | None = None  # (-prob, head, tag_id)
-        for head_idx, (tag_list, probs) in enumerate(head_outputs):
-            tag_id = int(np.argmax(probs[pos]))
-            if tag_list[tag_id] == "O":
-                continue
-            key = (-float(probs[pos, tag_id]), head_idx, tag_id)
-            if best is None or key < best:
-                best = key
-        if best is None:
-            tags.append("O")
-            scores.append(1.0)
-        else:
-            neg_prob, head_idx, tag_id = best
-            tags.append(head_outputs[head_idx][0][tag_id])
-            scores.append(-neg_prob)
-    return tags, scores
+    shape = head_outputs[0][1].shape[:-1]
+    names, score, index = ["O"], np.full(shape, -1.0), np.zeros(shape, dtype=np.int64)
+    for tag_list, rows in head_outputs:
+        best, prob = rows.argmax(axis=-1), rows.max(axis=-1)
+        # a head whose argmax is its own O abstains; a tie keeps the earlier head
+        take = (prob > score) & ~np.array([tag == "O" for tag in tag_list])[best]
+        score, index = np.where(take, prob, score), np.where(take, best + len(names), index)
+        names.extend(tag_list)
+    return np.array(names, dtype=object)[index].tolist(), np.where(score < 0.0, 1.0, score)
 
 
 def pad_distilled_distribution(
@@ -107,9 +98,9 @@ def pad_distilled_distribution(
     return out / out.sum(axis=1, keepdims=True)
 
 
-def _spans_from_tags(tags: Sequence[str], scores: Sequence[float]):
+def _spans_from_tags(tags: Sequence[str], scores: np.ndarray):
     """Decoded spans, each scored by the mean of its tokens' scores."""
-    return [(i, j, t, float(np.mean(scores[i - 1 : j]))) for i, j, t in tag_decode(tags)]
+    return [(i, j, t, float(scores[i - 1 : j].mean())) for i, j, t in tag_decode(tags)]
 
 
 def _flat_rows(hidden: nc.Tensor, lengths: np.ndarray) -> tuple[nc.Tensor, np.ndarray, int]:
@@ -226,20 +217,24 @@ class AddNerTagger(EncoderModel):
     def _placed_sum(self, hidden, lengths, heads, rows, alpha, beta):
         return _placed_heads(self._head_logits, hidden, lengths, heads, rows, alpha, beta)
 
-    def _probs(self, batch_ids: Sequence[Sequence[int]], types: Sequence[str]) -> list:
-        """Per sentence of an equal-length batch, each head's (n, width)
-        softmax rows; every head covers registered types only, so all
-        heads answer for ``types``."""
+    def _softmaxes(self, batch_ids: np.ndarray) -> list[np.ndarray]:
+        """Each head's (B, n, width) softmax rows of an equal-length batch."""
         hidden, _ = self._encode(batch_ids)
-        heads = [
+        return [
             stable_softmax(self._head_logits(hidden, idx).data)
             for idx in range(len(self.task_types))
         ]
-        return [list(rows) for rows in zip(*heads)]
 
-    def _decode(self, head_rows: Sequence[np.ndarray]) -> list:
+    def _probs(self, batch_ids: np.ndarray, types: Sequence[str]) -> list:
+        """Per sentence of an equal-length batch, each head's (n, width)
+        softmax rows; every head covers registered types only, so all
+        heads answer for ``types``."""
+        return [list(rows) for rows in zip(*self._softmaxes(batch_ids))]
+
+    def _decode(self, batch_ids: np.ndarray) -> list:
         tag_lists = [head_tag_list(types) for types in self.task_types]
-        return _spans_from_tags(*combine_heads(list(zip(tag_lists, head_rows))))
+        tags, scores = combine_heads(list(zip(tag_lists, self._softmaxes(batch_ids))))
+        return [_spans_from_tags(t, s) for t, s in zip(tags, scores)]
 
 
 class ExtendNerTagger(EncoderModel):
@@ -307,9 +302,8 @@ class ExtendNerTagger(EncoderModel):
         hidden, _ = self._encode(batch_ids)
         return stable_softmax(self._logits(hidden).data)
 
-    def _decode(self, probs: np.ndarray) -> list:
-        tag_list = self.tag_list
-        ids = probs.argmax(axis=1)
-        tags = [tag_list[i] for i in ids]
-        scores = [float(probs[pos, i]) for pos, i in enumerate(ids)]
-        return _spans_from_tags(tags, scores)
+    def _decode(self, batch_ids: np.ndarray) -> list:
+        """Spans of the argmax tags, scored by their probabilities."""
+        probs = self._probs(batch_ids, self.types)
+        tags = np.array(self.tag_list, dtype=object)[probs.argmax(axis=-1)].tolist()
+        return [_spans_from_tags(t, s) for t, s in zip(tags, probs.max(axis=-1))]

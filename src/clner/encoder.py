@@ -141,20 +141,19 @@ class TransformerEncoder:
         if single:
             ids = ids[None, :]
         batch, n = ids.shape
-        lengths = np.full(batch, n) if lengths is None else np.asarray(lengths, dtype=np.int64)
-        if n == 0 or lengths.min() < 1:
+        lengths = None if lengths is None else np.asarray(lengths, dtype=np.int64)
+        shortest, longest = (n, n) if lengths is None else (lengths.min(), lengths.max())
+        if n == 0 or shortest < 1:
             raise ValueError("cannot encode an empty sentence")
-        if lengths.max() > self.config.max_len:
-            raise ValueError(
-                f"sentence length {lengths.max()} exceeds max_len {self.config.max_len}"
-            )
+        if longest > self.config.max_len:
+            raise ValueError(f"sentence length {longest} exceeds max_len {self.config.max_len}")
         cfg = self.config
         keep = None
         if train and cfg.dropout > 0.0:
             if rng is None:
                 raise ValueError("dropout in train mode needs an explicit rng")
             mask = np.zeros((batch, n, cfg.d_model))
-            for row, length in zip(mask, lengths):
+            for row, length in zip(mask, [n] * batch if lengths is None else lengths):
                 row[:length] = rng.random((length, cfg.d_model)) >= cfg.dropout
             keep = mask / (1.0 - cfg.dropout)
         hidden = nc.attention_block(
@@ -178,8 +177,8 @@ class EncoderModel:
     the batch's rows -> the sum of its sentences' losses), ``_probs``
     (an equal-length batch -> each sentence's probabilities over the
     given types, which are also the teacher's labels) and ``_decode``
-    (one sentence's probabilities -> its (start, end, type, score)
-    spans)."""
+    (an equal-length (B, n) id chunk -> each sentence's (start, end,
+    type, score) spans over the registered types)."""
 
     def __init__(self, encoder: TransformerEncoder):
         self.encoder = encoder
@@ -203,9 +202,9 @@ class EncoderModel:
         (B, n) id array (an equal-length group) is taken as it is; a
         list of sentences is right-padded."""
         if isinstance(batch_ids, np.ndarray):
-            ids, lengths = batch_ids, np.full(len(batch_ids), batch_ids.shape[1])
-        else:
-            ids, lengths = pad_batch(batch_ids)
+            hidden = self.encoder.encode(batch_ids, train=train, rng=rng)
+            return hidden, np.full(len(batch_ids), batch_ids.shape[1])
+        ids, lengths = pad_batch(batch_ids)
         return self.encoder.encode(ids, train=train, rng=rng, lengths=lengths), lengths
 
     def _by_length(self, sentences_ids: Sequence[Sequence[int]], run) -> list:
@@ -224,10 +223,8 @@ class EncoderModel:
         return out
 
     def predict_many(self, sentences_ids: Sequence[Sequence[int]]) -> list:
-        """Decoded spans per sentence; equal to ``predict`` on each."""
-        return self._by_length(
-            sentences_ids, lambda batch: [self._decode(p) for p in self._probs(batch, self.types)]
-        )
+        """Decoded spans per sentence, one ``_decode`` call per chunk; as ``predict`` on each."""
+        return self._by_length(sentences_ids, self._decode)
 
     def predict(self, token_ids: Sequence[int]) -> list:
         """Decoded (start, end, type, score) spans of one sentence."""

@@ -115,11 +115,13 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backprop) -> Tensor:
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add ``g`` into ``t.grad``. The first gradient is copied unless it is
+    ``fresh``: an array the backprop just made, which nothing else holds."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+        t.grad = g if fresh else np.array(g, dtype=np.float64)
     else:
         t.grad += g
 
@@ -192,14 +194,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backprop(grad):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(grad @ np.swapaxes(b.data, -1, -2), a.shape))
+            _accumulate(a, _unbroadcast(grad @ np.swapaxes(b.data, -1, -2), a.shape), True)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ grad, b.shape))
+            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ grad, b.shape), True)
 
     return _make(data, (a, b), backprop)
 
 
-def _broadcast_binary(a: Tensor, b: Tensor, fwd, da, db, name: str) -> Tensor:
+def _broadcast_binary(a: Tensor, b: Tensor, fwd, da, db, name: str, fresh: bool) -> Tensor:
     try:
         data = fwd(a.data, b.data)
     except ValueError:
@@ -207,22 +209,22 @@ def _broadcast_binary(a: Tensor, b: Tensor, fwd, da, db, name: str) -> Tensor:
 
     def backprop(grad):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(da(grad), a.shape))
+            _accumulate(a, _unbroadcast(da(grad), a.shape), fresh)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(db(grad), b.shape))
+            _accumulate(b, _unbroadcast(db(grad), b.shape), fresh)
 
     return _make(data, (a, b), backprop)
 
 
 def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    return _broadcast_binary(a, b, np.add, lambda g: g, lambda g: g, "add")
+    return _broadcast_binary(a, b, np.add, lambda g: g, lambda g: g, "add", False)
 
 
 def mul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     return _broadcast_binary(
-        a, b, np.multiply, lambda g: g * b.data, lambda g: g * a.data, "mul"
+        a, b, np.multiply, lambda g: g * b.data, lambda g: g * a.data, "mul", True
     )
 
 
@@ -248,7 +250,7 @@ def tensor_slice(x: Tensor, key) -> Tensor:
     def backprop(grad):
         g = np.zeros_like(x.data)
         g[key] += grad
-        _accumulate(x, g)
+        _accumulate(x, g, True)
 
     return _make(data, (x,), backprop)
 
@@ -306,11 +308,11 @@ def embed(tok_emb: Tensor, pos_emb: Tensor, ids) -> Tensor:
         if tok_emb.requires_grad:
             g = np.zeros_like(tok_emb.data)
             np.add.at(g, idx, grad)
-            _accumulate(tok_emb, g)
+            _accumulate(tok_emb, g, True)
         if pos_emb.requires_grad:
             g = np.zeros_like(pos_emb.data)
             g[:n] += _unbroadcast(grad, (n, pos_emb.shape[1]))
-            _accumulate(pos_emb, g)
+            _accumulate(pos_emb, g, True)
 
     return _make(data, (tok_emb, pos_emb), backprop)
 
@@ -377,10 +379,10 @@ def attention_block(
         dr = inv * (
             dhat - dhat.mean(axis=-1, keepdims=True) - rhat * (dhat * rhat).mean(axis=-1, keepdims=True)
         )
-        _accumulate(gain, (g * rhat).sum(axis=(0, 1)))
-        _accumulate(bias, g.sum(axis=(0, 1)))
-        _accumulate(b_o, _unbroadcast(dr, b_o.shape))
-        _accumulate(w_o, _unbroadcast(_swap(merged) @ dr, w_o.shape))
+        _accumulate(gain, (g * rhat).sum(axis=(0, 1)), True)
+        _accumulate(bias, g.sum(axis=(0, 1)), True)
+        _accumulate(b_o, _unbroadcast(dr, b_o.shape), True)
+        _accumulate(w_o, _unbroadcast(_swap(merged) @ dr, w_o.shape), True)
         dctx = (dr @ _swap(w_o.data)).reshape(batch, n, n_heads, dk).transpose(0, 2, 1, 3)
         dattn = dctx @ _swap(v)
         dv = _swap(attn) @ dctx
@@ -393,10 +395,10 @@ def attention_block(
             (dv, (0, 2, 1, 3), w_v, b_v),
         ):
             dlin = dh.transpose(inverse).reshape(batch, n, d)
-            _accumulate(b, _unbroadcast(dlin, b.shape))
-            _accumulate(w, _unbroadcast(_swap(x) @ dlin, w.shape))
+            _accumulate(b, _unbroadcast(dlin, b.shape), True)
+            _accumulate(w, _unbroadcast(_swap(x) @ dlin, w.shape), True)
             de = de + dlin @ _swap(w.data)
-        _accumulate(e, de)
+        _accumulate(e, de, True)
 
     return _make(data, (e, w_q, b_q, w_k, b_k, w_v, b_v, w_o, b_o, gain, bias), backprop)
 
@@ -433,7 +435,7 @@ def span_scores(
             full = np.zeros_like(stack.data)
             full[rows] += g
             g = full
-        _accumulate(stack, g)
+        _accumulate(stack, g, True)
 
     def backprop(grad):
         g = grad * scale
@@ -446,7 +448,7 @@ def span_scores(
             put(w, _unbroadcast(_swap(h) @ d_out, w_data.shape))
             term = _unbroadcast(d_out @ _swap(w_data), h.shape)
             d_h = term if d_h is None else d_h + term
-        _accumulate(hidden, d_h.reshape(hidden.shape))
+        _accumulate(hidden, d_h.reshape(hidden.shape), True)
 
     return _make(data, (hidden, *stacks), backprop)
 
@@ -490,7 +492,7 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray, weights: np.ndarray | N
     data = np.asarray((w * (np.maximum(z, 0.0) + np.log1p(ez) - t * z)).sum())
 
     def backprop(grad):
-        _accumulate(logits, grad * w * (stable_sigmoid(z, ez) - t))
+        _accumulate(logits, grad * w * (stable_sigmoid(z, ez) - t), True)
 
     return _make(data, (logits,), backprop)
 
@@ -514,9 +516,10 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarr
     t = np.asarray(targets, dtype=np.float64)
     if t.shape != logits.shape:
         raise ShapeError(f"softmax_cross_entropy: targets shape {t.shape} vs logits {logits.shape}")
-    if np.any(t < 0.0):
-        raise ValueError("softmax_cross_entropy: target rows must be non-negative")
-    if not np.allclose(t.sum(axis=-1), 1.0, atol=1e-8):
+    # one test of both rules (np.allclose's tolerance for the sums), which a NaN fails
+    if not (t.min(initial=0.0) >= 0.0 and (np.abs(t.sum(axis=-1) - 1.0) <= 1e-8 + 1e-5).all()):
+        if np.any(t < 0.0):
+            raise ValueError("softmax_cross_entropy: target rows must be non-negative")
         raise ValueError("softmax_cross_entropy: target rows must each sum to 1")
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != logits.shape[:1]:
@@ -525,6 +528,6 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarr
     data = np.asarray(-(w * (t * ls).sum(axis=-1)).sum())
 
     def backprop(grad):
-        _accumulate(logits, grad * w[:, None] * (np.exp(ls) - t))
+        _accumulate(logits, grad * w[:, None] * (np.exp(ls) - t), True)
 
     return _make(data, (logits,), backprop)

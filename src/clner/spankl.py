@@ -14,6 +14,7 @@ past a sentence's end.
 """
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -28,6 +29,7 @@ TEACHER_PROB_CLAMP = 1e-7
 _HEAD_PARTS = ("start_w", "start_b", "end_w", "end_b")
 
 _TRIU_CACHE: dict[int, np.ndarray] = {}
+_TRIU_INDEX: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def triu_mask(n: int) -> np.ndarray:
@@ -204,34 +206,61 @@ def total_loss(bce, kd, alpha: float, beta: float) -> nc.Tensor:
     return nc.add(nc.mul(bce, alpha), nc.mul(kd, beta))
 
 
-def _upper_cells(probs: np.ndarray, threshold: float):
-    """(type, i, j) indices of upper-triangle cells above the threshold
-    in a (T, n, n) array, in (type, i, j) order, with their scores."""
-    above = (probs > threshold) & (triu_mask(probs.shape[-1]) > 0.0)
-    t, i, j = np.nonzero(above)
-    return t, i, j, probs[t, i, j]
+def _upper(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The upper-triangle cells (i <= j) of (..., n, n) values as (..., m),
+    row by row, and each cell's 1-based (start, end) as an (m, 2) array."""
+    n = values.shape[-1]
+    if n not in _TRIU_INDEX:
+        rows, cols = np.triu_indices(n)
+        _TRIU_INDEX[n] = (rows * n + cols, np.stack([rows + 1, cols + 1], axis=1))
+    flat, spans = _TRIU_INDEX[n]
+    return values.reshape(*values.shape[:-2], n * n)[..., flat], spans
+
+
+def _flat_select(cells, spans, index, probs, types: Sequence[str], threshold: float) -> list:
+    """Per sentence of (B, T, m) upper cells, flatten the cells at flat
+    positions ``index`` whose ``probs`` are above the threshold: keep the
+    highest-scoring span, discard anything whose token range intersects
+    an accepted span; ties are broken by (start, end, type order)."""
+    batch, n_types, m = cells.shape
+    keep = probs > threshold
+    b, rest = np.divmod(index[keep], n_types * m)
+    t, c = np.divmod(rest, m)
+    found: list[list] = [[] for _ in range(batch)]
+    for s, cell in zip(b.tolist(), zip((-probs[keep]).tolist(), spans[c].tolist(), t.tolist())):
+        found[s].append(cell)
+    out = []
+    for candidates in found:
+        accepted, taken = [], set()  # taken: the tokens of the accepted spans
+        for neg, (i, j), col in sorted(candidates):
+            if taken.isdisjoint(range(i, j + 1)):
+                taken.update(range(i, j + 1))
+                accepted.append((i, j, types[col], -neg))
+        out.append(accepted)
+    return out
 
 
 def decode_flat(
     prob_matrices: Mapping[str, np.ndarray], threshold: float = DEFAULT_THRESHOLD
 ) -> list[tuple[int, int, str, float]]:
-    """Flatten overlapping predictions: keep the highest-scoring span,
-    discard anything whose token range intersects an accepted span.
-
-    Candidates are the upper-triangle cells above the threshold; ties are
-    broken by (start, end, type registration order). The map's iteration
-    order defines type order.
-    """
+    """``_flat_select`` of one sentence's per-type (n, n) probabilities;
+    the map's iteration order defines type order."""
     if not prob_matrices:
         return []
-    types = list(prob_matrices)
-    t, i, j, score = _upper_cells(np.stack([np.asarray(p) for p in prob_matrices.values()]), threshold)
-    accepted: list[tuple[int, int, str, float]] = []
-    for k in np.lexsort((t, j, i, -score)):
-        a, b = int(i[k]) + 1, int(j[k]) + 1
-        if all(b < a_i or a_j < a for a_i, a_j, _, _ in accepted):
-            accepted.append((a, b, types[t[k]], float(score[k])))
-    return accepted
+    cells, spans = _upper(np.array([[*prob_matrices.values()]], dtype=np.float64))
+    index = np.flatnonzero(cells > threshold)
+    return _flat_select(cells, spans, index, cells.ravel()[index], [*prob_matrices], threshold)[0]
+
+
+def decode_chunk(logits: np.ndarray, types: Sequence[str], threshold: float) -> list[list]:
+    """``decode_flat`` of each sentence of (B, T, n, n) logits, with the
+    sigmoid on upper-triangle cells only; it is elementwise, so each has
+    its bits in the full matrix. A cell 4 below the threshold's log-odds
+    is skipped: its probability cannot pass the threshold, by a margin
+    far beyond rounding."""
+    cells, spans = _upper(logits)
+    index = np.flatnonzero(cells > math.log(threshold / (1.0 - threshold)) - 4.0)
+    return _flat_select(cells, spans, index, stable_sigmoid(cells.ravel()[index]), types, threshold)
 
 
 class SpanKLModel(EncoderModel):
@@ -339,9 +368,11 @@ class SpanKLModel(EncoderModel):
         _, logits = self._span_scores(hidden, columns.types)
         return place_objective(logits, lengths, columns, rows, alpha, beta)
 
-    def _decode(self, probs: Mapping[str, np.ndarray]) -> list:
-        """Mutually non-overlapping spans above the threshold."""
-        return decode_flat(probs, self.threshold)
+    def _decode(self, batch_ids: np.ndarray) -> list:
+        """Each sentence's mutually non-overlapping spans above the
+        threshold. The teacher pass keeps ``_probs``' full matrices."""
+        _, logits = self._span_scores(self._encode(batch_ids)[0])
+        return decode_chunk(logits.data, self.types, self.threshold)
 
     def predict_nested(
         self,
@@ -355,8 +386,8 @@ class SpanKLModel(EncoderModel):
         thr = self.threshold if threshold is None else threshold
         with nc.no_grad():
             wanted, logits = self._span_scores(self._encode([token_ids])[0], types)
-        probs = stable_sigmoid(logits.data[0])
-        t, i, j, score = _upper_cells(probs, thr)
-        return [
-            (int(a) + 1, int(b) + 1, wanted[c], float(s)) for c, a, b, s in zip(t, i, j, score)
-        ]
+        cells, spans = _upper(logits.data[0])
+        probs = stable_sigmoid(cells)
+        t, c = np.nonzero(probs > thr)
+        found = zip(t.tolist(), spans[c].tolist(), probs[t, c].tolist())
+        return [(i, j, wanted[u], p) for u, (i, j), p in found]

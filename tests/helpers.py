@@ -362,6 +362,42 @@ def repair_tags_oracle(tags):
     return out
 
 
+def combine_heads_oracle(head_outputs):
+    """The AddNER merge rule, token by token: with every head's argmax at
+    its own O, emit O (score 1.0); otherwise adopt the non-O argmax of
+    highest probability, ties to the lowest head index. ``head_outputs``
+    are (tag list, (n, width) rows) pairs; returns the tags and scores."""
+    n = head_outputs[0][1].shape[0]
+    tags, scores = [], []
+    for pos in range(n):
+        best = None  # (-prob, head, tag_id)
+        for head_idx, (tag_list, probs) in enumerate(head_outputs):
+            tag_id = int(np.argmax(probs[pos]))
+            if tag_list[tag_id] == "O":
+                continue
+            key = (-float(probs[pos, tag_id]), head_idx, tag_id)
+            if best is None or key < best:
+                best = key
+        if best is None:
+            tags.append("O")
+            scores.append(1.0)
+        else:
+            neg_prob, head_idx, tag_id = best
+            tags.append(head_outputs[head_idx][0][tag_id])
+            scores.append(-neg_prob)
+    return tags, scores
+
+
+def former_target_check(targets) -> str | None:
+    """The two target checks ``softmax_cross_entropy`` once ran on every
+    call: the message its refusal matches, or None when accepted."""
+    if np.any(targets < 0.0):
+        return "non-negative"
+    if not np.allclose(targets.sum(axis=-1), 1.0, atol=1e-8):
+        return "sum to 1"
+    return None
+
+
 def spans_overlap(a, b) -> bool:
     """Token ranges [a.i, a.j] and [b.i, b.j] (inclusive) intersect."""
     return not (a[1] < b[0] or b[1] < a[0])

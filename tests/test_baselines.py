@@ -20,7 +20,12 @@ from clner.baselines import (
     tag_decode,
 )
 from clner.encoder import EncoderConfig, TransformerEncoder
-from helpers import cross_entropy_rows_oracle, kl_div_rows_oracle, repair_tags_oracle
+from helpers import (
+    combine_heads_oracle,
+    cross_entropy_rows_oracle,
+    kl_div_rows_oracle,
+    repair_tags_oracle,
+)
 
 
 def small_encoder(seed=0):
@@ -163,6 +168,46 @@ class TestCombineHeads:
         assert _spans_from_tags(tags, scores) == _spans_from_tags(
             repair_tags_oracle(tags), scores
         )
+
+
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=4),
+        st.integers(1, 3),
+        st.integers(1, 8),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_chunk_merge_equals_the_per_token_rule(self, widths, batch, n, ties, seed):
+        """The merge of a (B, n, width) chunk per head equals the
+        per-token rule on each sentence, also where every head says O and
+        where probabilities tie within and across heads."""
+        rng = np.random.default_rng(seed)
+        names = iter("ABCDEFGHIJKL")
+        heads = []
+        for width in widths:
+            tag_list = head_tag_list([next(names) for _ in range(width)])
+            rows = rng.dirichlet(np.ones(len(tag_list)), size=(batch, n))
+            if ties:  # few distinct values: equal maxima within and across heads
+                rows = rng.integers(0, 3, size=rows.shape) / 4.0
+            rows[rng.random((batch, n)) < 0.3, 0] = 1.0  # this head's argmax is O here
+            heads.append((tag_list, rows))
+        tags, scores = combine_heads(heads)
+        assert scores.shape == (batch, n)
+        for b in range(batch):
+            want = combine_heads_oracle([(tag_list, rows[b]) for tag_list, rows in heads])
+            assert (tags[b], scores[b].tolist()) == want
+
+    def test_all_heads_outside_and_cross_head_ties(self):
+        heads = [
+            (head_tag_list(["A"]), np.array([[0.8, 0.1, 0.1], [0.2, 0.4, 0.4], [0.1, 0.5, 0.4]])),
+            (head_tag_list(["B"]), np.array([[0.9, 0.0, 0.1], [0.2, 0.0, 0.8], [0.1, 0.5, 0.4]])),
+        ]
+        tags, scores = combine_heads(heads)
+        # token 1: both heads say O; token 2: B's I-B beats A's tie of B-A/I-A;
+        # token 3: B-A and B-B tie at 0.5, and the lower head index wins
+        assert tags == ["O", "I-B", "B-A"]
+        assert scores.tolist() == [1.0, 0.8, 0.5]
+        assert combine_heads_oracle(heads) == (tags, scores.tolist())
 
 
 class TestPadDistilled:

@@ -274,13 +274,13 @@ class TestLengthBucketedInference:
         rng = np.random.default_rng(8)
         many = [list(rng.integers(2, 30, size=4)) for _ in range(2 * INFERENCE_CHUNK + 5)] + INFER
         sizes = []
-        probs = model._probs
+        decode = model._decode
 
-        def spy(batch, types):
+        def spy(batch):
             sizes.append(len(batch))
-            return probs(batch, types)
+            return decode(batch)
 
-        monkeypatch.setattr(model, "_probs", spy)
+        monkeypatch.setattr(model, "_decode", spy)
         got = model.predict_many(many)
         assert max(sizes) == INFERENCE_CHUNK and sum(sizes) == len(many)
         assert got == [model.predict(ids) for ids in many]

@@ -1,6 +1,7 @@
 """Tensor engine: forward values, gradients vs finite differences, Adam."""
 from __future__ import annotations
 
+import importlib
 import threading
 
 import numpy as np
@@ -16,6 +17,7 @@ from helpers import (
     bce_cell,
     cross_entropy_rows_oracle,
     finite_difference_grads,
+    former_target_check,
     gather_rows,
     kl_div_rows_oracle,
     layer_norm,
@@ -106,6 +108,50 @@ class TestBackwardBasics:
         y = total(nc.add(x, x))
         y.backward()
         np.testing.assert_array_equal(x.grad, [2.0])
+
+    def test_two_consumers_of_one_array_never_share_a_gradient_buffer(self, monkeypatch):
+        """A fresh gradient array is handed to its tensor, not copied; a
+        gradient that is a view (``add``'s output gradient, ``reshape``'s
+        reshaped gradient, ``concat``'s slices) is copied. So no two
+        tensors share a buffer, and two backward passes accumulate what
+        they did when every first gradient was copied."""
+        rng = np.random.default_rng(4)
+        x, y = nc.parameter(rng.normal(size=(2, 3))), nc.parameter(rng.normal(size=(2, 3)))
+        w = nc.parameter(rng.normal(size=(3, 4)))
+
+        def graph():
+            s = nc.add(x, y)  # x and y receive the one output gradient
+            c = nc.concat([x, s, y], axis=0)  # three slices of one gradient
+            r = nc.reshape(c, (3, 6))  # a view of c's gradient
+            m = nc.matmul(nc.reshape(r, (6, 3)), w)
+            return total(nc.add(nc.mul(m, m), nc.mul(s, 2.0)[0, 0]))
+
+        loss = graph()
+        loss.backward()
+        nodes, stack = [], [loss]
+        while stack:
+            node = stack.pop()
+            if all(node is not seen for seen in nodes):
+                nodes.append(node)
+                stack.extend(node._parents)
+        grads = [t.grad for t in nodes if t.grad is not None]
+        assert len(grads) > 8
+        for k, a in enumerate(grads):
+            for b in grads[k + 1 :]:
+                assert not np.shares_memory(a, b)
+        graph().backward()
+        owned = [x.grad, y.grad, w.grad]
+
+        def copying(t, g, fresh=False):
+            if t.requires_grad:
+                t.grad = np.array(g, dtype=np.float64) if t.grad is None else t.grad + g
+
+        monkeypatch.setattr(importlib.import_module("clner.numcore.tensor"), "_accumulate", copying)
+        x.grad = y.grad = w.grad = None
+        graph().backward()
+        graph().backward()
+        for got, want in zip(owned, [x.grad, y.grad, w.grad]):
+            assert got.tobytes() == want.tobytes()
 
     def test_nonscalar_loss_rejected(self):
         x = nc.parameter([1.0, 2.0])
@@ -268,6 +314,35 @@ class TestGradientsMatchFiniteDifferences:
             nc.softmax_cross_entropy(z, good, np.ones(3))
         with pytest.raises(nc.ShapeError, match="weights shape"):
             nc.softmax_cross_entropy(z, good, np.ones((2, 3)))
+
+    def test_softmax_cross_entropy_target_check_accepts_what_the_two_checks_did(self):
+        """One test of the sign and the sum, with np.allclose's tolerance
+        |s - 1| <= 1e-8 + 1e-5; NaN and infinite rows are refused, and
+        each refusal keeps the message of the check that refused it."""
+        tol = 1e-8 + 1e-5
+        rows = [
+            [1.0, 0.0, 0.0], [0.2, 0.3, 0.5], [-0.0, 0.5, 0.5],
+            [1.0 + 0.999 * tol, 0.0, 0.0], [1.0 - 0.999 * tol, 0.0, 0.0],
+            [1.0 + 1.001 * tol, 0.0, 0.0], [1.0 - 1.001 * tol, 0.0, 0.0],
+            [np.nan, 0.5, 0.5], [np.nan, -0.5, 1.5], [np.inf, 0.0, 0.0], [-np.inf, 1.0, 1.0],
+            [1.0 + 1e-300, -1e-300, 0.0], [0.0, 0.0, 0.0], [0.5, 0.5, 0.5],
+        ]
+        for x in (1.0 + tol, 1.0 - tol):  # the doubles around each edge
+            rows += [[v, 0.0, 0.0] for v in (np.nextafter(x, 0.0), x, np.nextafter(x, 2.0))]
+        outcomes = set()
+        for row in rows:
+            targets = np.array([row, [0.0, 1.0, 0.0]])
+            want = former_target_check(targets)
+            outcomes.add(want)
+            z = self.param(2, 3)
+            if want is None:
+                nc.softmax_cross_entropy(z, targets, np.ones(2))
+            else:
+                with pytest.raises(ValueError, match=want):
+                    nc.softmax_cross_entropy(z, targets, np.ones(2))
+        assert outcomes == {None, "non-negative", "sum to 1"}
+        assert former_target_check(np.array([[np.nan, 0.5, 0.5]])) == "sum to 1"
+        nc.softmax_cross_entropy(self.param(0, 3), np.zeros((0, 3)), np.ones(0))
 
     def test_two_layer_net(self):
         w1, b1 = self.param(5, 8), self.param(8)

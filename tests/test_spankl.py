@@ -6,10 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clner import numcore as nc
 from clner import spankl
 from clner.encoder import EncoderConfig, TransformerEncoder
+from clner.numcore.tensor import stable_sigmoid
 from helpers import (
     assert_gradients_match,
     bce_cell,
@@ -387,6 +389,50 @@ class TestDecodeFlat:
         probs = {"PER": np.zeros((3, 3))}
         probs["PER"][2, 0] = 0.99  # i > j: not a span
         assert spankl.decode_flat(probs, 0.5) == []
+
+
+class TestDecodeChunk:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 6),
+        st.integers(1, 40),
+        st.sampled_from([0.3, 0.5, 0.9]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_decode_flat_over_full_sigmoid_matrices(self, batch, n_types, n, threshold,
+                                                           ties, seed):
+        """Prediction's chunk decode, with the sigmoid on the read cells
+        only, gives ``decode_flat`` of each sentence's full matrices: the
+        same spans, scores bit for bit, and the same tie order."""
+        rng = np.random.default_rng(seed)
+        if ties:  # a handful of logit values: many equal scores across cells and types
+            logits = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0], size=(batch, n_types, n, n))
+        else:
+            logits = rng.normal(-1.0, 2.5, size=(batch, n_types, n, n))
+        types = [f"T{k}" for k in range(n_types)]
+        got = spankl.decode_chunk(logits, types, threshold)
+        want = [
+            spankl.decode_flat(dict(zip(types, stable_sigmoid(matrices))), threshold)
+            for matrices in logits
+        ]
+        assert got == want
+        for spans, matrices in zip(got, stable_sigmoid(logits)):
+            for i, j, t, score in spans:
+                assert score == matrices[types.index(t), i - 1, j - 1]
+
+    def test_model_decode_is_one_call_per_chunk(self):
+        model = make_model(seed=6)
+        model.grow(["PER", "ORG"], np.random.default_rng(2))
+        batch = np.array([[3, 4, 5, 6], [7, 8, 9, 3], [4, 4, 2, 9]])
+        with nc.no_grad():
+            _, logits = model._span_scores(model._encode([list(r) for r in batch])[0])
+        want = [
+            spankl.decode_flat(dict(zip(model.types, stable_sigmoid(m))), model.threshold)
+            for m in logits.data
+        ]
+        assert model._decode(batch) == want == model.predict_many([list(r) for r in batch])
 
 
 class TestPredictNested:

@@ -56,8 +56,25 @@ def test_verdict_accepts_a_clear_gain():
     result = pairs.verdict(PARENT, change, "lower", runs())
     assert result["gain"] and result["won"] == 10
     assert result["ratio"] == pytest.approx(0.85)
+    assert result["pair_ratio"]["median"] == pytest.approx(0.85)
+    assert result["pair_ratio"]["iqr"] == pytest.approx([0.85, 0.85])
     assert pairs.verdict(change, PARENT, "higher", runs())["gain"]
     assert not pairs.verdict(PARENT, change, "higher", runs())["gain"]
+
+
+def test_pair_ratios_are_recorded_and_leave_the_verdict_alone():
+    """Every pair won by a steady 0.1%: the per-pair ratios sit in a
+    tight band below 1, and the verdict still reads the parent's spread
+    across pairs, so it is no gain, as before the ratios were recorded."""
+    change = [p - 0.001 for p in PARENT]
+    result = pairs.verdict(PARENT, change, "lower", runs())
+    q1, q3 = result["pair_ratio"]["iqr"]
+    assert q1 <= result["pair_ratio"]["median"] <= q3 < 1.0 and q3 - q1 < 1e-4
+    assert result["won"] == 10 and not result["gain"]
+    shuffled = pairs.verdict(PARENT, PARENT[::-1], "lower", runs())["pair_ratio"]
+    assert shuffled["iqr"][0] < 1.0 < shuffled["iqr"][1]
+    # a parent value of 0 (an F1 that read 0) has no ratio
+    assert pairs.verdict([0.0] + PARENT[1:], PARENT, "higher", runs())["pair_ratio"] is None
 
 
 def test_verdict_needs_ten_pairs():

@@ -12,8 +12,9 @@ even ones, so that drift of the machine's speed falls on both sides.
 Writes ``BENCH_<L>.json`` at the repository root: both revisions, the
 CPU count, the numpy and Python versions, and per workload the status of
 every run and per end-to-end metric of ``BENCHMARK.json`` the per-pair
-values, each side's median [q1, q3], the ratio of the medians, the pairs
-the change won, and the verdict. A metric counts as a gain when the
+values, each side's median [q1, q3], the ratio of the medians, the
+median [q1, q3] of the per-pair ratios (change / parent), the pairs the
+change won, and the verdict. A metric counts as a gain when the
 change wins at least 90% of at least 10 pairs, the gap between the
 medians exceeds the parent's interquartile range, every run is correct
 and the change fails no larger share of its operations than the parent.
@@ -64,6 +65,9 @@ def verdict(parent: list[float], change: list[float], better: str, runs: list[di
     base, new = summary(parent), summary(change)
     spread = base["iqr"][1] - base["iqr"][0]
     gap = sign * (base["median"] - new["median"])
+    # the pairs' own ratios: their spread is the noise within a pair, which
+    # the parent's spread across pairs (mostly the machine's drift) is not
+    ratios = [c / p for p, c in zip(parent, change)] if all(parent) else None
     sound = all(r[side]["correct"] for r in runs for side in SIDES) and failed_share(
         runs, "change"
     ) <= failed_share(runs, "parent")
@@ -76,6 +80,7 @@ def verdict(parent: list[float], change: list[float], better: str, runs: list[di
         "change_median": new["median"],
         "change_iqr": new["iqr"],
         "ratio": new["median"] / base["median"] if base["median"] else None,
+        "pair_ratio": summary(ratios) if ratios else None,
         "won": won,
         "gain": len(parent) >= MIN_PAIRS and won >= math.ceil(WIN_SHARE * len(parent))
         and gap > spread and sound,
@@ -167,6 +172,9 @@ def main(argv: list[str]) -> int:
     for w, result in record["workloads"].items():
         for name, v in result["metrics"].items():
             ratio = "-" if v["ratio"] is None else f"x{v['ratio']:.3f}"
+            if v["pair_ratio"]:
+                q1, q3 = v["pair_ratio"]["iqr"]
+                ratio += f", pairs x{v['pair_ratio']['median']:.3f} [{q1:.3f}, {q3:.3f}]"
             print(f"{w} {name}: {v['parent_median']:.4g} -> {v['change_median']:.4g} "
                   f"({ratio}, won {v['won']}/{len(v['parent'])}"
                   f"{', gain' if v['gain'] else ''})")

@@ -181,7 +181,9 @@ def _effective_config(args) -> tuple[RunConfig, list[int]]:
         config = RunConfig.from_mapping(mapping)
     except (ValueError, TypeError) as e:
         raise UsageError(str(e)) from None
-    seeds = _int_list(args.seeds) if args.seeds else [config.seed]
+    seeds = [config.seed] if args.seeds is None else _int_list(args.seeds)
+    if not seeds:
+        raise UsageError(f"--seeds names no seed: {args.seeds!r}")
     repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
     if repeated:
         raise UsageError(f"--seeds repeats {repeated}")

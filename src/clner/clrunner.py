@@ -216,9 +216,6 @@ class _Trainer:
     """Shared trainer state for one run over one benchmark."""
 
     def __init__(self, config: RunConfig, bench: SynthesizedBenchmark, out_dir=None):
-        problems = config.validate()
-        if problems:
-            raise ValueError("invalid run config: " + "; ".join(problems))
         self.config = config
         self.bench = bench
         self.vocab = Vocab(bench.vocab_tokens)
@@ -363,13 +360,17 @@ class _Trainer:
 
 class PlannedStep(NamedTuple):
     """A step of ``step_plan``: build a fresh model or not, the data, the
-    teacher pass's old types (empty: no pass), the types to grow and train."""
+    teacher pass's old types (empty: no pass), the types to grow and
+    train, the task's own test list and the types learned by then, which
+    the test is scored on."""
 
     fresh: bool
     train: list[Sentence]
     dev: list[Sentence]
     teacher: tuple[str, ...]
     types: tuple[str, ...]
+    test: list[Sentence]
+    learned: tuple[str, ...]
 
 
 def step_plan(mode: str, config: RunConfig, bench: SynthesizedBenchmark) -> list[PlannedStep]:
@@ -379,10 +380,14 @@ def step_plan(mode: str, config: RunConfig, bench: SynthesizedBenchmark) -> list
     old types taken before growth (the single-head tagger's teacher must
     be pre-extension). Non-CL builds a fresh model, which has no old
     types and so no teacher, at every step and trains every type learned
-    so far on the union of the data seen so far. Each split of each task
-    must hold sentences of at most max_len tokens and spans of its types
-    only (train, dev: the task's; test: its step's learned; *_full: the
-    inventory), and each step training sentences, else a CorpusError."""
+    so far on the union of the data seen so far. An invalid config is a
+    ValueError. Each split of each task must hold sentences of at most
+    max_len tokens and spans of its types only (train, dev: the task's;
+    test: its step's learned; *_full: the inventory), and each step
+    training sentences, else a CorpusError."""
+    problems = config.validate()
+    if problems:
+        raise ValueError("invalid run config: " + "; ".join(problems))
     cl = mode == "cl"
     plan = []
     for step, task in enumerate(bench.tasks, start=1):
@@ -403,7 +408,7 @@ def step_plan(mode: str, config: RunConfig, bench: SynthesizedBenchmark) -> list
         data = (task.train, task.dev) if cl else (bench.noncl_train(step), bench.noncl_dev(step))
         if not data[0]:
             raise CorpusError(f"step {step}: no training sentences")
-        plan.append(PlannedStep(step == 1 or not cl, *data, teacher, types))
+        plan.append(PlannedStep(step == 1 or not cl, *data, teacher, types, task.test, learned))
     return plan
 
 
@@ -412,7 +417,7 @@ def _run(mode: str, config: RunConfig, bench: SynthesizedBenchmark, out_dir=None
     plan = step_plan(mode, config, bench)
     tr = _Trainer(config, bench, out_dir)
     result = RunResult(mode, config, bench.setup, bench.kind, bench.sequence.permutation)
-    for step, (todo, task) in enumerate(zip(plan, bench.tasks), start=1):
+    for step, todo in enumerate(plan, start=1):
         if todo.fresh:
             model = build_model(config, len(tr.vocab), stream_rng(config.seed, _INIT, step))
         distilled = digest = None
@@ -421,13 +426,12 @@ def _run(mode: str, config: RunConfig, bench: SynthesizedBenchmark, out_dir=None
             digest = cache_digest(distilled)
         model.grow(todo.types, stream_rng(config.seed, _GROW, step))
         dev_curve, chosen = tr.train_step(model, step, todo.train, todo.dev, todo.types, distilled)
-        learned = bench.sequence.cumulative_types(step)
-        step_eval, decoded = tr.evaluate(model, task.test, learned, step)
+        step_eval, decoded = tr.evaluate(model, todo.test, todo.learned, step)
         record = StepRecord(step, dev_curve, chosen, step_eval, digest)
         result.steps.append(record)
-        tr.dump_step(model, mode, step, record, task.test, decoded)
+        tr.dump_step(model, mode, step, record, todo.test, decoded)
         log.info("%s step %d/%d: dev %s, selected epoch %d, test macro %.4f", mode, step,
-                 len(bench.tasks), [f"{x:.3f}" for x in dev_curve], chosen, step_eval.macro)
+                 len(plan), [f"{x:.3f}" for x in dev_curve], chosen, step_eval.macro)
     if tr.out_dir is not None:
         write_run_records(tr.out_dir, result)
     return result
@@ -448,13 +452,14 @@ def load_step_model(
 ):
     """Rebuild the model structure of the given step by replaying
     ``step_plan``'s builds and growths up to it, and load that step's
-    selected checkpoint (resume support)."""
+    selected checkpoint (resume support). A config or benchmark that
+    ``step_plan`` refuses is refused here too."""
+    plan = step_plan(mode, config, bench)[:step]
     path = step_path(run_dir, mode, step) / "checkpoint.bin"
     try:
         arrays = nc.load_checkpoint(path)
     except (OSError, nc.CheckpointError) as e:
         raise RunError(step, f"cannot load checkpoint {path}: {e}") from e
-    plan = step_plan(mode, config, bench)[:step]
     first = max(l for l, todo in enumerate(plan, start=1) if todo.fresh)
     vocab = Vocab(bench.vocab_tokens)
     model = build_model(config, len(vocab), stream_rng(config.seed, _INIT, first))

@@ -129,17 +129,13 @@ class TransformerEncoder:
         rng: np.random.Generator | None = None,
         lengths: Sequence[int] | None = None,
     ) -> nc.Tensor:
-        """Token ids -> contextual vectors. A flat id sequence gives
-        (n, d_model); a right-padded (B, n) id array gives (B, n, d_model),
-        with ``lengths`` the true length of each row (default: all n).
-        Padding keys are masked out of attention, so real rows do not
-        depend on padding. Deterministic when train is off; train mode
+        """A right-padded (B, n) id array -> (B, n, d_model) contextual
+        vectors, with ``lengths`` the true length of each row (default:
+        all n). Padding keys are masked out of attention, so real rows do
+        not depend on padding. Deterministic when train is off; train mode
         draws dropout from ``rng`` one sentence at a time, in row order,
         as an (n_i, d_model) block each."""
         ids = np.asarray(token_ids, dtype=np.int64)
-        single = ids.ndim == 1
-        if single:
-            ids = ids[None, :]
         batch, n = ids.shape
         lengths = None if lengths is None else np.asarray(lengths, dtype=np.int64)
         shortest, longest = (n, n) if lengths is None else (lengths.min(), lengths.max())
@@ -156,29 +152,28 @@ class TransformerEncoder:
             for row, length in zip(mask, [n] * batch if lengths is None else lengths):
                 row[:length] = rng.random((length, cfg.d_model)) >= cfg.dropout
             keep = mask / (1.0 - cfg.dropout)
-        hidden = nc.attention_block(
+        return nc.attention_block(
             nc.embed(self.tok_emb, self.pos_emb, ids),
             self.w_q, self.b_q, self.w_k, self.b_k, self.w_v, self.b_v, self.w_o, self.b_o,
             self.ln_gain, self.ln_bias, cfg.n_heads, lengths, keep,
         )
-        return nc.reshape(hidden, (n, cfg.d_model)) if single else hidden
 
 
 class EncoderModel:
     """What the span model and the taggers share: an encoder, the
     registered ``types`` and their growth, checkpoints written from
     ``state_arrays`` and restored by ``load_arrays``, the loss contract
-    (``placed_loss``; ``batch_loss``, and ``sentence_loss`` as a batch of
-    one), and graph-free inference with one forward pass per sentence
-    length. A subclass defines only its heads (``_add_heads``,
-    ``head_named``), ``loss_plan`` (gold spans and teacher labels ->
-    checked, prebuilt targets: what every sentence shares and one row
-    per sentence), ``_placed_sum`` (encoded batch, the shared targets and
-    the batch's rows -> the sum of its sentences' losses), ``_probs``
-    (an equal-length batch -> each sentence's probabilities over the
-    given types, which are also the teacher's labels) and ``_decode``
-    (an equal-length (B, n) id chunk -> each sentence's (start, end,
-    type, score) spans over the registered types)."""
+    (``placed_loss``, and ``sentence_loss`` as a batch of one), and
+    graph-free inference with one forward pass per sentence length. A
+    subclass defines only its heads (``_add_heads``, ``head_named``),
+    ``loss_plan`` (gold spans and teacher labels -> checked, prebuilt
+    targets: what every sentence shares and one row per sentence),
+    ``_placed_sum`` (encoded batch, the shared targets and the batch's
+    rows -> the sum of its sentences' losses), ``_probs`` (an
+    equal-length batch -> each sentence's probabilities over the given
+    types, which are also the teacher's labels) and ``_decode`` (an
+    equal-length (B, n) id chunk -> each sentence's (start, end, type,
+    score) spans over the registered types)."""
 
     def __init__(self, encoder: TransformerEncoder):
         self.encoder = encoder
@@ -259,17 +254,6 @@ class EncoderModel:
         loss = self._placed_sum(hidden, lengths, shared, rows, alpha, beta)
         return nc.mul(loss, 1.0 / len(lengths))
 
-    def batch_loss(
-        self, batch_ids: Sequence[Sequence[int]], batch_gold: Sequence[Iterable],
-        current_types: Sequence[str], distilled: Sequence | None, alpha: float, beta: float,
-        train: bool, rng: np.random.Generator | None,
-    ) -> nc.Tensor:
-        """``placed_loss`` of the batch's own plan. ``distilled`` holds
-        each sentence's teacher labels, or is None without a teacher."""
-        sizes = [len(ids) for ids in batch_ids]
-        shared, rows = self.loss_plan(sizes, batch_gold, current_types, distilled)
-        return self.placed_loss(batch_ids, shared, rows, alpha, beta, train, rng)
-
     def sentence_loss(
         self,
         token_ids: Sequence[int],
@@ -281,12 +265,11 @@ class EncoderModel:
         train: bool,
         rng: np.random.Generator | None,
     ) -> nc.Tensor:
-        """One sentence's loss: ``batch_loss`` on a batch of one, with
-        ``distilled`` that sentence's teacher labels or None."""
-        return self.batch_loss(
-            [token_ids], [gold_spans], current_types,
-            None if distilled is None else [distilled], alpha, beta, train, rng,
-        )
+        """One sentence's loss: ``placed_loss`` of its own ``loss_plan``,
+        with ``distilled`` that sentence's teacher labels or None."""
+        taught = None if distilled is None else [distilled]
+        plan = self.loss_plan([len(token_ids)], [gold_spans], current_types, taught)
+        return self.placed_loss([token_ids], *plan, alpha, beta, train, rng)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Parameter values under their checkpoint names (not copies)."""

@@ -66,14 +66,17 @@ class SpanColumns(NamedTuple):
 
 def plan_objective(
     lengths: Sequence[int], types: Sequence[str], current_types: Sequence[str],
-    golds: Sequence[Mapping[str, Iterable[tuple[int, int]]]],
+    golds: Sequence[Sequence[tuple[int, int, str]]],
     distilled: Sequence[Mapping[str, np.ndarray]] | None,
 ) -> tuple[SpanColumns, list]:
-    """``objective``'s targets for logits over ``types``, checked and
-    built once: the shared columns, and per sentence a row of its gold
-    cells as a (3, m) array of (column, i, j) and, with old types, its
-    teacher probabilities clamped into [1e-7, 1 - 1e-7] as one
-    (T_old, n_b, n_b) block in old-column order."""
+    """The span objective's targets for logits over ``types``, checked
+    and built once: the shared columns, and per sentence a row of its
+    gold cells as a (3, m) array of (column, i, j) and, with old types,
+    its teacher probabilities clamped into [1e-7, 1 - 1e-7] as one
+    (T_old, n_b, n_b) block in old-column order. Each sentence's gold is
+    its (start, end, type) spans, 1-based, of current types; its
+    distilled labels map each old type to the teacher's (n_b, n_b)
+    probabilities."""
     column = {t: k for k, t in enumerate(types)}
     current = [column[t] for t in current_types]
     old_types = [t for t in types if t not in current_types]
@@ -81,10 +84,10 @@ def plan_objective(
         raise ValueError(f"distilled labels missing for old types: {sorted(old_types)}")
     rows = []
     for b, (gold, size) in enumerate(zip(golds, lengths)):
-        extra = set(gold) - set(current_types)
+        extra = {t for _, _, t in gold} - set(current_types)
         if extra:
             raise ValueError(f"gold spans for non-current types: {sorted(extra)}")
-        cells = [(column[t], i - 1, j - 1) for t, pairs in gold.items() for i, j in pairs]
+        cells = [(column[t], i - 1, j - 1) for i, j, t in gold]
         for _, i, j in cells:
             if not (0 <= i <= j < size):
                 raise ValueError(f"gold span ({i + 1}, {j + 1}) outside a {size}-token sentence")
@@ -116,11 +119,14 @@ def place_objective(
     logits: nc.Tensor, lengths: np.ndarray, columns: SpanColumns, rows: Sequence,
     alpha: float, beta: float,
 ) -> nc.Tensor:
-    """``objective`` of (B, T, n, n) logits from the batch's planned
-    ``rows``: the gold cells take label 1 and the teacher blocks fill the
-    old columns, every other cell 0, in one weighted ``bce_with_logits``
-    call; the KL adds the placed teacher cells' constant negative entropy
-    sum p log p + q log q."""
+    """alpha * BCE over the current columns plus beta * Bernoulli KL over
+    the old ones, summed over the read cells (upper triangle within each
+    sentence's length) of every sentence of (B, T, n, n) logits, from the
+    batch's ``plan_objective`` rows: the gold cells take label 1 and the
+    teacher blocks fill the old columns, every other cell 0, in one
+    weighted ``bce_with_logits`` call, the cross entropy softplus(z) -
+    t*z against a soft target t; the KL adds the placed teacher cells'
+    constant negative entropy sum p log p + q log q."""
     current, old = columns.current, columns.old
     owned = triu_mask(logits.shape[-1]) * length_mask(lengths, logits.shape[-1])[:, None, :]
     target = np.zeros(logits.shape)
@@ -141,28 +147,6 @@ def place_objective(
     return nc.bce_with_logits(logits, target, weight) + beta * entropy
 
 
-def objective(
-    logits: nc.Tensor,
-    lengths: np.ndarray,
-    types: Sequence[str],
-    current_types: Sequence[str],
-    golds: Sequence[Mapping[str, Iterable[tuple[int, int]]]],
-    distilled: Sequence[Mapping[str, np.ndarray]] | None,
-    alpha: float,
-    beta: float,
-) -> nc.Tensor:
-    """alpha * BCE over the current types plus beta * Bernoulli KL over
-    the other (old) types of ``types``, summed over the read cells (upper
-    triangle within each sentence's length) of every sentence, for
-    (B, T, n, n) logits with ``types`` along T: ``place_objective`` of
-    ``plan_objective``. Each sentence's gold maps a current type to its
-    (start, end) spans; its distilled labels map each old type to the
-    teacher's (n_b, n_b) probabilities. Both terms are the cross entropy
-    softplus(z) - t*z against a soft target t."""
-    columns, rows = plan_objective(lengths, types, current_types, golds, distilled)
-    return place_objective(logits, lengths, columns, rows, alpha, beta)
-
-
 def _one_sentence(matrices: Mapping[str, nc.Tensor], types: Sequence[str]):
     """Per-type (n, n) matrices of one sentence as (1, T, n, n) logits and
     the (1,) length, for the batch-of-one adapters below."""
@@ -177,12 +161,15 @@ def bce_loss(
     current_types: Sequence[str],
 ) -> nc.Tensor:
     """Binary cross entropy of one sentence's per-type matrices, summed
-    over the upper-triangle cells of the current types: ``objective``
-    with alpha 1 on a batch of one."""
+    over the upper-triangle cells of the current types, ``gold`` mapping
+    each to its (start, end) spans: the span objective with alpha 1 on a
+    batch of one."""
     if not current_types:
         raise ValueError("bce_loss needs at least one current type")
     logits, lengths = _one_sentence(matrices, current_types)
-    return objective(logits, lengths, current_types, current_types, [gold], None, 1.0, 0.0)
+    spans = [(i, j, t) for t, pairs in gold.items() for i, j in pairs]
+    plan = plan_objective(lengths, current_types, current_types, [spans], None)
+    return place_objective(logits, lengths, *plan, 1.0, 0.0)
 
 
 def kd_loss(
@@ -192,11 +179,12 @@ def kd_loss(
 ) -> nc.Tensor:
     """Bernoulli KL of one sentence's per-type matrices against its
     teacher probabilities, summed over the upper-triangle cells of the
-    old types: ``objective`` with beta 1 on a batch of one."""
+    old types: the span objective with beta 1 on a batch of one."""
     if not old_types:
         raise ValueError("kd_loss needs at least one old type")
     logits, lengths = _one_sentence(matrices, old_types)
-    return objective(logits, lengths, old_types, [], [{}], [distilled], 0.0, 1.0)
+    plan = plan_objective(lengths, old_types, [], [[]], [distilled])
+    return place_objective(logits, lengths, *plan, 0.0, 1.0)
 
 
 def total_loss(bce, kd, alpha: float, beta: float) -> nc.Tensor:
@@ -355,13 +343,9 @@ class SpanKLModel(EncoderModel):
             raise ValueError(f"current types not registered: {sorted(unknown)}")
         use_kd = distilled is not None and not current.issuperset(self.types)
         wanted = [t for t in self.types if t in current or use_kd]
-        golds = []
-        for spans in batch_gold:
-            by_type: dict[str, list[tuple[int, int]]] = {}
-            for span in spans:
-                by_type.setdefault(span[2], []).append((span[0], span[1]))
-            golds.append(by_type)
-        return plan_objective(sizes, wanted, current_types, golds, distilled if use_kd else None)
+        return plan_objective(
+            sizes, wanted, current_types, batch_gold, distilled if use_kd else None
+        )
 
     def _placed_sum(self, hidden, lengths, columns, rows, alpha, beta):
         """``place_objective`` on the scores of the planned types' heads."""

@@ -227,12 +227,7 @@ def reference_encode(self, token_ids, train=False, rng=None, lengths=None):
     """``TransformerEncoder.encode`` built from the reference graphs, with
     the dropout draws in the same per-sentence order; patch it over the
     method to run a model on the composed graph."""
-    from clner import numcore as nc
-
     ids = np.asarray(token_ids, dtype=np.int64)
-    single = ids.ndim == 1
-    if single:
-        ids = ids[None, :]
     batch, n = ids.shape
     lengths = np.full(batch, n) if lengths is None else np.asarray(lengths, dtype=np.int64)
     cfg = self.config
@@ -242,12 +237,11 @@ def reference_encode(self, token_ids, train=False, rng=None, lengths=None):
         for row, length in zip(mask, lengths):
             row[:length] = rng.random((length, cfg.d_model)) >= cfg.dropout
         keep = mask / (1.0 - cfg.dropout)
-    hidden = reference_attention_block(
+    return reference_attention_block(
         reference_embed(self.tok_emb, self.pos_emb, ids),
         self.w_q, self.b_q, self.w_k, self.b_k, self.w_v, self.b_v, self.w_o, self.b_o,
         self.ln_gain, self.ln_bias, cfg.n_heads, lengths, keep,
     )
-    return nc.reshape(hidden, (n, cfg.d_model)) if single else hidden
 
 
 def graph_nodes(loss) -> int:
@@ -444,6 +438,24 @@ def prf_oracle(tp: int, fp: int, fn: int):
     return p, r, f1
 
 
+# -- one call for a batch's planned loss ------------------------------
+
+
+def planned_loss(model, batch_ids, batch_gold, current_types, distilled, alpha, beta, train, rng):
+    """A batch's loss through the entries training uses: the batch's own
+    ``loss_plan``, then ``placed_loss``."""
+    plan = model.loss_plan([len(ids) for ids in batch_ids], batch_gold, current_types, distilled)
+    return model.placed_loss(batch_ids, *plan, alpha, beta, train, rng)
+
+
+def span_objective(logits, lengths, types, current_types, golds, distilled, alpha, beta):
+    """``spankl.place_objective`` of the batch's own ``plan_objective``."""
+    from clner.spankl import place_objective, plan_objective
+
+    plan = plan_objective(lengths, types, current_types, golds, distilled)
+    return place_objective(logits, lengths, *plan, alpha, beta)
+
+
 # -- the per-batch loss formulas that the per-step loss plan replaces ----
 #
 # Each rebuilds and re-checks a batch's targets from its gold spans and
@@ -453,7 +465,7 @@ def prf_oracle(tp: int, fp: int, fn: int):
 
 
 def reference_objective(logits, lengths, types, current_types, golds, distilled, alpha, beta):
-    """``spankl.objective`` with its targets built inside the call."""
+    """``span_objective`` with its targets built inside the call."""
     from clner import numcore as nc
     from clner.encoder import length_mask
     from clner.spankl import TEACHER_PROB_CLAMP, triu_mask
@@ -466,9 +478,8 @@ def reference_objective(logits, lengths, types, current_types, golds, distilled,
     weight = np.zeros(logits.shape)
     weight[:, current] = alpha * owned[:, None]
     for b, gold in enumerate(golds):
-        for t, pairs in gold.items():
-            for i, j in pairs:
-                target[b, column[t], i - 1, j - 1] = 1.0
+        for i, j, t in gold:
+            target[b, column[t], i - 1, j - 1] = 1.0
     if not old_types:
         return nc.bce_with_logits(logits, target, weight)
     old = [column[t] for t in old_types]
@@ -545,12 +556,7 @@ def reference_loss_sum(model, hidden, lengths, batch_gold, current_types, distil
     use_kd = distilled is not None and any(t not in current for t in model.types)
     needed = [t for t in model.types if t in current or use_kd]
     wanted, logits = model._span_scores(hidden, needed)
-    golds = []
-    for spans in batch_gold:
-        by_type = {}
-        for span in spans:
-            by_type.setdefault(span[2], []).append((span[0], span[1]))
-        golds.append(by_type)
     return reference_objective(
-        logits, lengths, wanted, current_types, golds, distilled if use_kd else None, alpha, beta
+        logits, lengths, wanted, current_types, batch_gold, distilled if use_kd else None, alpha,
+        beta,
     )

@@ -24,6 +24,7 @@ from helpers import (
     combine_heads_oracle,
     cross_entropy_rows_oracle,
     kl_div_rows_oracle,
+    planned_loss,
     repair_tags_oracle,
 )
 
@@ -258,8 +259,8 @@ class TestExtendNer:
         ids = [2, 5]
         spans = [(1, 1, "PER")]
         loss = model.sentence_loss(ids, spans, ["PER"], None, 1.0, 1.0, False, None)
-        hidden = model.encoder.encode(ids)
-        logits = (nc.matmul(hidden, model.weight) + model.bias).numpy()
+        hidden = model.encoder.encode([ids])
+        logits = (nc.matmul(hidden, model.weight) + model.bias).numpy()[0]
         want = 0.0
         for pos, gold in enumerate([1, 0]):  # B-PER then O
             z = logits[pos]
@@ -288,8 +289,8 @@ class TestExtendNer:
         loss = model.sentence_loss(
             ids, spans, ["ORG"], teacher_row, 1.0, 1.0, False, None
         )
-        hidden = model.encoder.encode(ids)
-        logits = (nc.matmul(hidden, model.weight) + model.bias).numpy()
+        hidden = model.encoder.encode([ids])
+        logits = (nc.matmul(hidden, model.weight) + model.bias).numpy()[0]
         logprobs = logits - np.log(np.exp(logits - logits.max(1, keepdims=True)).sum(1, keepdims=True)) - logits.max(1, keepdims=True)
         padded = pad_distilled_distribution(teacher_row, 5)
         ce = -logprobs[0, model.tag_list.index("B-ORG")]
@@ -394,13 +395,14 @@ class TestLossEqualsRowOracle:
         model.grow(["PER"], np.random.default_rng(0))
         teacher = model.teacher_predict(self.BATCH, ["PER"]) if with_teacher else None
         model.grow(["ORG", "LOC"], np.random.default_rng(1))
-        got = model.batch_loss(
-            self.BATCH, self.GOLD, ["ORG", "LOC"], teacher, self.ALPHA, self.BETA, False, None
+        got = planned_loss(
+            model, self.BATCH, self.GOLD, ["ORG", "LOC"], teacher, self.ALPHA, self.BETA, False,
+            None,
         ).item()
         tags = model.tag_list
         want = 0.0
         for b, (ids, spans) in enumerate(zip(self.BATCH, self.GOLD)):
-            logits = model._logits(model.encoder.encode(ids)).data
+            logits = model._logits(model.encoder.encode([ids])).data[0]
             gold = [tags.index(t) for t in iob_encode(spans, ["ORG", "LOC"], len(ids))]
             ce = np.array([1.0 if g or teacher is None else 0.0 for g in gold])
             want += self.ALPHA * cross_entropy_rows_oracle(logits, gold, ce)
@@ -415,17 +417,18 @@ class TestLossEqualsRowOracle:
         model.grow(["PER"], np.random.default_rng(0))
         teacher = model.teacher_predict(self.BATCH, ["PER"]) if with_teacher else None
         model.grow(["ORG", "LOC"], np.random.default_rng(1))
-        got = model.batch_loss(
-            self.BATCH, self.GOLD, ["ORG", "LOC"], teacher, self.ALPHA, self.BETA, False, None
+        got = planned_loss(
+            model, self.BATCH, self.GOLD, ["ORG", "LOC"], teacher, self.ALPHA, self.BETA, False,
+            None,
         ).item()
         tags = head_tag_list(["ORG", "LOC"])
         want = 0.0
         for b, (ids, spans) in enumerate(zip(self.BATCH, self.GOLD)):
-            hidden = model.encoder.encode(ids)
-            new_logits = model._head_logits(hidden, 1).data
+            hidden = model.encoder.encode([ids])
+            new_logits = model._head_logits(hidden, 1).data[0]
             gold = [tags.index(t) for t in iob_encode(spans, ["ORG", "LOC"], len(ids))]
             want += self.ALPHA * cross_entropy_rows_oracle(new_logits, gold, np.ones(len(ids)))
             if teacher is not None:
-                old_logits = model._head_logits(hidden, 0).data
+                old_logits = model._head_logits(hidden, 0).data[0]
                 want += self.BETA * kl_div_rows_oracle(old_logits, teacher[b][0], np.ones(len(ids)))
         assert abs(got - want / len(self.BATCH)) <= 1e-12

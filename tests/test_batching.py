@@ -19,7 +19,7 @@ from clner import spankl
 from clner.baselines import AddNerTagger, ExtendNerTagger
 from clner.clrunner import cache_digest
 from clner.encoder import INFERENCE_CHUNK, EncoderConfig, TransformerEncoder
-from helpers import graph_nodes, reference_loss_sum
+from helpers import graph_nodes, planned_loss, reference_loss_sum
 
 BATCH = [[3, 9, 2], [14, 5, 5, 21, 7, 8, 4], [6], [11, 12, 13, 2, 3]]
 GOLD = [
@@ -89,8 +89,8 @@ def per_sentence(model, teacher, train: bool):
 def batched(model, teacher, train: bool):
     params = list(model.named_parameters().values())
     nc.zero_grad(params)
-    loss = model.batch_loss(
-        BATCH, GOLD, ["PER", "ORG"], teacher, 1.0, 0.7, train, np.random.default_rng(5)
+    loss = planned_loss(
+        model, BATCH, GOLD, ["PER", "ORG"], teacher, 1.0, 0.7, train, np.random.default_rng(5)
     )
     loss.backward()
     return loss.item(), grads_of(model)
@@ -146,8 +146,8 @@ def test_graph_nodes_per_training_batch(kind, most):
     embedding, one for the attention layer and one for the span scorer;
     AddNER's count is for its two heads."""
     model, teacher = build(kind, with_teacher=True)
-    loss = model.batch_loss(
-        BATCH, GOLD, ["PER", "ORG"], teacher, 1.0, 0.7, True, np.random.default_rng(5)
+    loss = planned_loss(
+        model, BATCH, GOLD, ["PER", "ORG"], teacher, 1.0, 0.7, True, np.random.default_rng(5)
     )
     assert graph_nodes(loss) <= most
 
@@ -156,8 +156,8 @@ def test_graph_nodes_per_span_batch_without_teacher():
     """Without a teacher a span batch scores only the current types'
     heads, which the span scorer picks inside its one node."""
     model, _ = build("spankl", with_teacher=False)
-    loss = model.batch_loss(
-        BATCH, GOLD, ["PER", "ORG"], None, 1.0, 0.7, True, np.random.default_rng(5)
+    loss = planned_loss(
+        model, BATCH, GOLD, ["PER", "ORG"], None, 1.0, 0.7, True, np.random.default_rng(5)
     )
     assert graph_nodes(loss) <= 5
 
@@ -208,7 +208,7 @@ def test_planned_loss_is_the_per_batch_formula(kind, with_teacher):
 @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
 @pytest.mark.parametrize("with_teacher", [True, False], ids=["teacher", "no-teacher"])
 def test_trained_loss_is_the_gated_loss(with_teacher, train):
-    """``batch_loss`` on one sentence, the loss training runs, equals
+    """``sentence_loss``, the loss training runs on a batch of one, equals
     total_loss(bce_loss, kd_loss) on that sentence's logits, the loss the
     gradient and identity criteria check, in value and every gradient."""
     model, teacher = build("spankl", with_teacher)
@@ -216,8 +216,8 @@ def test_trained_loss_is_the_gated_loss(with_teacher, train):
     alpha, beta = 1.0, 0.7
     for b, (ids, gold) in enumerate(zip(BATCH, GOLD)):
         nc.zero_grad(params)
-        trained = model.batch_loss(
-            [ids], [gold], ["PER", "ORG"], None if teacher is None else [teacher[b]],
+        trained = model.sentence_loss(
+            ids, gold, ["PER", "ORG"], None if teacher is None else teacher[b],
             alpha, beta, train, np.random.default_rng(b),
         )
         trained.backward()

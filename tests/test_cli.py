@@ -121,15 +121,38 @@ class TestSynthesize:
         assert code in (EXIT_USAGE, EXIT_DATA)
 
     @pytest.mark.parametrize(
-        "kind, types, bare, tasks",
-        [("fewnerd", FEWNERD_FINE, True, 8), ("ontonotes", list(ONTONOTES_TYPES), False, 6)],
+        "kind, types, bare, tasks, layered",
+        [
+            pytest.param("fewnerd", FEWNERD_FINE, True, 8, False, id="fewnerd-types0-True-8"),
+            pytest.param("ontonotes", list(ONTONOTES_TYPES), False, 6, False,
+                         id="ontonotes-types1-False-6"),
+            pytest.param("ontonotes", list(ONTONOTES_TYPES), False, 6, True,
+                         id="ontonotes-layered-nesting-and-CARD-absent-from-train"),
+        ],
     )
-    def test_corpus_kinds(self, tmp_path, kind, types, bare, tasks):
+    def test_corpus_kinds(self, tmp_path, kind, types, bare, tasks, layered):
         """Synthesize from a corpus directory of each kind, train spankl and
         extendner in both modes, and report over the four roots. Few-NERD
         curves keep only the coarse groups, and the last CL step's per-type
-        counts equal a recount of its predictions against its test file."""
+        counts equal a recount of its predictions against its test file.
+        The ``layered`` OntoNotes corpus has no CARD mention in train.txt
+        (dev and test keep theirs) and one test sentence whose tag column
+        nests a PER mention inside an ORG one as two ``|`` layers:
+        synthesize keeps CARD in the inventory and its task, whose training
+        sentences then hold no span, and each test file keeps the nested
+        spans of the types learned by its step; train runs every step and
+        scores CARD from its step on against all its test spans."""
         corpus = write_kind_corpus(tmp_path / "corpus", types, bare)
+        if layered:
+            train = corpus / "train.txt"
+            train.write_text(train.read_text(encoding="utf-8").replace("B-CARD", "O"),
+                             encoding="utf-8")
+            test = corpus / "test.txt"
+            test.write_text(
+                test.read_text(encoding="utf-8")
+                + "\nthe\tO\nper0\tB-ORG|B-PER\nbank\tI-ORG\nmet\tO\ngpe0\tB-GPE\n",
+                encoding="utf-8",
+            )
         out = tmp_path / "bench"
         code = main(
             ["synthesize", "--kind", kind, "--setup", "split-all",
@@ -149,6 +172,20 @@ class TestSynthesize:
             {(s.start, s.end, s.type) for s in sent.spans}
             for sent in parse_corpus(out / f"task_{last}" / "test.txt").sentences
         ]
+        if layered:
+            assert "CARD" in json.loads((out / "benchmark.json").read_text())["inventory"]
+            card_step = ONTONOTES_TYPES.index("CARD") + 1
+            card_train = parse_corpus(out / f"task_{card_step:02d}" / "train.txt").sentences
+            assert card_train and not any(sent.spans for sent in card_train)
+            card_gold = sum(t == "CARD" for spans in gold for *_, t in spans)
+            assert card_gold > 0
+            for step in range(1, tasks + 1):
+                nested = parse_corpus(out / f"task_{step:02d}" / "test.txt").sentences[-1]
+                learned = ONTONOTES_TYPES[:step]
+                assert set(nested.spans) == {
+                    span for span in [(2, 3, "ORG"), (2, 2, "PER"), (5, 5, "GPE")]
+                    if span[2] in learned
+                }
         roots = []
         for model in ("spankl", "extendner"):
             for mode in ("cl", "noncl"):
@@ -159,6 +196,11 @@ class TestSynthesize:
                      "--set", "d_span=4", "--out", str(roots[-1])]
                 ) == EXIT_OK
                 assert len(list((roots[-1] / "run_s0" / mode).glob("step_*"))) == tasks
+                if layered:  # CARD is scored from its step on, against all its test spans
+                    rows = clrunner.read_table(roots[-1] / "run_s0" / f"metrics_{mode}.tsv")
+                    card = [row for row in rows if row["type"] == "CARD"]
+                    assert [int(row["step"]) for row in card] == list(range(card_step, tasks + 1))
+                    assert all(int(row["tp"]) + int(row["fn"]) == card_gold for row in card)
             run = roots[-2] / "run_s0"
             curves = clrunner.read_table(run / "curves_cl.csv", ",")
             groups = FEWNERD_COARSE if kind == "fewnerd" else ONTONOTES_TYPES
@@ -606,6 +648,17 @@ class TestTrain:
         code = main(["train", "--benchmark", str(bench), "--seeds", "1,2,1", "--out", str(out)])
         assert code == EXIT_USAGE
         assert "--seeds repeats [1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", [",", "", " , "])
+    def test_empty_seed_list_is_usage_error(self, tmp_path, capsys, seeds):
+        """A --seeds that names no seed is refused before any output,
+        rather than running nothing and failing on the missing root."""
+        bench = synth(tmp_path)
+        out = tmp_path / "run"
+        code = main(["train", "--benchmark", str(bench), "--seeds", seeds, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert f"--seeds names no seed: {seeds!r}" in capsys.readouterr().err
         assert not out.exists()
 
 

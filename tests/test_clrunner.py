@@ -292,18 +292,22 @@ class TestStepPlan:
         plan = clrunner.step_plan("cl", RunConfig(**TINY, beta=beta), bench3)
         assert plan == [
             (step == 1, task.train, task.dev,
-             bench3.sequence.cumulative_types(step - 1) if beta > 0 else (), task.spec.types)
+             bench3.sequence.cumulative_types(step - 1) if beta > 0 else (), task.spec.types,
+             task.test, bench3.sequence.cumulative_types(step))
             for step, task in enumerate(bench3.tasks, start=1)
         ]
+        assert all(todo.test is task.test for todo, task in zip(plan, bench3.tasks))
 
     @pytest.mark.parametrize("model", ["spankl", "extendner"])
     def test_noncl_trains_every_learned_type_on_the_union(self, bench3, model):
         plan = clrunner.step_plan("noncl", RunConfig(**TINY, model=model), bench3)
         assert plan == [
             (True, bench3.noncl_train(step), bench3.noncl_dev(step), (),
+             bench3.sequence.cumulative_types(step), bench3.tasks[step - 1].test,
              bench3.sequence.cumulative_types(step))
             for step in (1, 2, 3)
         ]
+        assert all(todo.test is task.test for todo, task in zip(plan, bench3.tasks))
 
     @pytest.mark.parametrize("mode", ["cl", "noncl"])
     def test_step_without_training_sentences_is_refused(self, bench3, mode):
@@ -350,6 +354,22 @@ def test_load_step_model_reloads_every_step(bench, tmp_path, mode, model):
         want = [json.loads(line)["spans"] for line in path.read_text().splitlines()]
         got = reloaded.predict_many([vocab.encode(s.tokens) for s in task.test])
         assert [[list(span) for span in spans] for spans in got] == want
+
+
+def test_load_step_model_refuses_a_config_the_run_refuses(bench, tmp_path):
+    """``load_step_model`` replays ``step_plan``, which checks the config
+    first: a threshold of 1.0, which decoding cannot use (its log-odds
+    divide by 1 - threshold), is refused with the run's own error, not
+    loaded into a model whose ``predict`` then fails."""
+    config = RunConfig(**TINY)
+    run_cl(config, bench, tmp_path)
+    bad = dataclasses.replace(config, threshold=1.0)
+    refusal = r"^invalid run config: threshold: must be in \(0, 1\), got 1\.0$"
+    with pytest.raises(ValueError, match=refusal):
+        run_cl(bad, bench)
+    for step in (1, 2):
+        with pytest.raises(ValueError, match=refusal):
+            load_step_model(bad, bench, tmp_path, step)
 
 
 @pytest.mark.parametrize("model", ["spankl", "extendner", "addner"])

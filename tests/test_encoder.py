@@ -40,38 +40,38 @@ class TestEncoderConfig:
 class TestEncode:
     def test_output_shape_single_token(self):
         enc = small_encoder()
-        out = enc.encode([3])
-        assert out.shape == (1, 16)
+        out = enc.encode([[3]])
+        assert out.shape == (1, 1, 16)
 
     def test_eval_mode_deterministic(self):
         enc = small_encoder()
-        a = enc.encode([3, 4, 5], train=False)
-        b = enc.encode([3, 4, 5], train=False)
+        a = enc.encode([[3, 4, 5]], train=False)
+        b = enc.encode([[3, 4, 5]], train=False)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_position_embeddings_break_order_symmetry(self):
         enc = small_encoder(seed=11)
-        ab = enc.encode([4, 7], train=False).data
-        ba = enc.encode([7, 4], train=False).data
+        ab = enc.encode([[4, 7]], train=False).data
+        ba = enc.encode([[7, 4]], train=False).data
         assert not np.allclose(ab, ba)
 
     def test_empty_and_overlong_rejected(self):
         enc = small_encoder()
         with pytest.raises(ValueError):
-            enc.encode([])
+            enc.encode([[]])
         with pytest.raises(ValueError):
-            enc.encode(list(range(13)))
+            enc.encode([list(range(13))])
 
     def test_output_finite(self):
         enc = small_encoder(seed=2)
         rng = np.random.default_rng(0)
         for _ in range(20):
             ids = rng.integers(0, 20, size=rng.integers(1, 12)).tolist()
-            assert np.all(np.isfinite(enc.encode(ids).data))
+            assert np.all(np.isfinite(enc.encode([ids]).data))
 
     def test_gradients_reach_every_parameter(self):
         enc = small_encoder(seed=3)
-        out = enc.encode([2, 5, 9], train=False)
+        out = enc.encode([[2, 5, 9]], train=False)
         loss = total(nc.mul(out, out))
         loss.backward()
         for name, p in enc.named_parameters().items():
@@ -80,8 +80,8 @@ class TestEncode:
 
     def test_dropout_active_only_in_train_mode(self):
         enc = small_encoder(seed=4)
-        base = enc.encode([1, 2, 3], train=False).data
-        dropped = enc.encode([1, 2, 3], train=True, rng=np.random.default_rng(0)).data
+        base = enc.encode([[1, 2, 3]], train=False).data
+        dropped = enc.encode([[1, 2, 3]], train=True, rng=np.random.default_rng(0)).data
         assert not np.allclose(base, dropped)
 
 

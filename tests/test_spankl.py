@@ -18,6 +18,7 @@ from helpers import (
     bernoulli_kl_cell,
     greedy_decode_oracle,
     sigmoid,
+    span_objective,
 )
 
 
@@ -161,13 +162,14 @@ class TestKdLoss:
 
 
 class TestObjective:
-    """The fused objective against alpha * BCE + beta * KL summed cell by
+    """The fused span objective (``place_objective`` of
+    ``plan_objective``) against alpha * BCE + beta * KL summed cell by
     cell over a padded batch of mixed lengths."""
 
     TYPES = ["PER", "ORG", "LOC", "MISC"]
     CURRENT = ["ORG", "MISC"]
     LENGTHS = np.array([5, 2, 4])
-    GOLDS = [{"ORG": [(1, 3), (5, 5)], "MISC": [(2, 2)]}, {"MISC": [(1, 2)]}, {}]
+    GOLDS = [[(1, 3, "ORG"), (5, 5, "ORG"), (2, 2, "MISC")], [(1, 2, "MISC")], []]
 
     def batch(self, seed):
         rng = np.random.default_rng(seed)
@@ -186,7 +188,7 @@ class TestObjective:
                     for j in range(i, n):
                         z = logits[b, k, i, j]
                         if t in self.CURRENT:
-                            gold = float((i + 1, j + 1) in self.GOLDS[b].get(t, []))
+                            gold = float((i + 1, j + 1, t) in self.GOLDS[b])
                             want += alpha * bce_cell(z, gold)
                         elif teacher is not None:
                             p = min(max(teacher[b][t][i, j], 1e-7), 1.0 - 1e-7)
@@ -199,7 +201,7 @@ class TestObjective:
             logits, teacher = self.batch(seed)
             types = self.TYPES if with_teacher else self.CURRENT
             rows = [self.TYPES.index(t) for t in types]
-            got = spankl.objective(
+            got = span_objective(
                 nc.tensor(logits[:, rows]), self.LENGTHS, types, self.CURRENT, self.GOLDS,
                 teacher if with_teacher else None, 0.7, 1.3,
             ).item()
@@ -209,11 +211,11 @@ class TestObjective:
     def test_unread_cells_carry_nothing(self):
         logits, teacher = self.batch(9)
         z = nc.parameter(logits)
-        spankl.objective(z, self.LENGTHS, self.TYPES, self.CURRENT, self.GOLDS, teacher, 0.7, 1.3).backward()
+        span_objective(z, self.LENGTHS, self.TYPES, self.CURRENT, self.GOLDS, teacher, 0.7, 1.3).backward()
         read = np.triu(np.ones((5, 5)))[None, None] * (np.arange(5) < self.LENGTHS[:, None])[:, None, None, :]
         assert np.all(z.grad[np.broadcast_to(read, z.shape) == 0.0] == 0.0)
         assert_gradients_match(
-            lambda: spankl.objective(
+            lambda: span_objective(
                 z, self.LENGTHS, self.TYPES, self.CURRENT, self.GOLDS, teacher, 0.7, 1.3
             ),
             [z],
@@ -222,7 +224,7 @@ class TestObjective:
     def test_old_types_need_teacher_labels(self):
         logits, _ = self.batch(0)
         with pytest.raises(ValueError, match="distilled labels missing"):
-            spankl.objective(
+            span_objective(
                 nc.tensor(logits), self.LENGTHS, self.TYPES, self.CURRENT, self.GOLDS, None, 1.0, 1.0
             )
 

@@ -1,6 +1,8 @@
-"""Byte-identity check of run trees against another revision.
+"""Byte-identity check of run trees against another revision, and the
+golden run-tree digests that tier-1 checks.
 
     python3 tools/identity.py REV
+    python3 tools/identity.py --write-golden
 
 Exports REV with ``git archive`` and runs the same recipe on that export
 and on the working tree, each from its own ``src/``:
@@ -20,9 +22,16 @@ compared as JSON without its ``inputs`` (they name the output paths),
 every other file byte for byte. Prints the counts of equal and differing
 files and exits 1 on any difference, including a file present on one side
 only.
+
+``--write-golden`` runs the smaller ``golden_recipe`` in this process on
+the working tree's ``src/`` and writes its digests, with this numpy
+build's version and BLAS, to ``tests/golden_run_tree.json``;
+``tests/test_tools.py`` reruns the recipe and compares. A change that
+alters run outputs on purpose rewrites the file and says why.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -30,8 +39,10 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 REPO = Path(__file__).resolve().parents[1]
+GOLDEN = REPO / "tests" / "golden_run_tree.json"
 CONFIG_A = {"epochs": 2, "d_model": 16, "n_heads": 2, "d_span": 8, "dump_matrices": "true"}
 CONFIG_B = CONFIG_A | {"batch_size": 5, "alpha": 0.7, "beta": 1.3, "weight_decay": 0.01}
 CONFIG_C = CONFIG_B | {"beta": 0, "freeze_encoder": "true"}
@@ -147,7 +158,72 @@ def compare(left: Path, right: Path) -> tuple[dict[str, int], list[str]]:
     return counts, differ
 
 
+def golden_recipe(out: Path) -> None:
+    """In this process, with the importable ``clner``: a toy benchmark of
+    60 sentences in 2 tasks; every model in both modes under config B
+    (``out/B/MODEL-MODE``) and spankl CL under config C, whose beta 0
+    scores a subset of the heads (``out/C/spankl-cl``); seed 1 each; then
+    ``report`` over the config-B roots."""
+    from clner import cli
+
+    bench = out / "bench"
+    for name in ("B", "C"):
+        (out / f"config_{name}.txt").write_text(
+            "".join(f"{k} = {v}\n" for k, v in CONFIGS[name].items()), encoding="utf-8"
+        )
+    trains = [("B", model, mode) for model in MODELS for mode in MODES] + [("C", "spankl", "cl")]
+    runs = [("synthesize", "--kind", "toy", "--setup", "split-all", "--seed", 3,
+             "--sentences", 60, "--tasks", 2, "--out", bench)]
+    for name, model, mode in trains:
+        runs.append(("train", "--benchmark", bench, "--config", out / f"config_{name}.txt",
+                     "--model", model, "--mode", mode, "--seeds", 1,
+                     "--out", out / name / f"{model}-{mode}"))
+    roots = [out / name / f"{model}-{mode}" for name, model, mode in trains if name == "B"]
+    runs.append(("report", *roots, "--out", out / "B" / "report"))
+    with mock.patch.dict(os.environ, {"SOURCE_DATE_EPOCH": "1700000000"}):
+        for args in runs:
+            code = cli.main([str(a) for a in args])
+            if code:
+                raise RuntimeError(f"clner {args[0]} exited {code}")
+
+
+def tree_digests(root: Path) -> dict[str, str]:
+    """SHA-256 per file under ``root`` by relative path; a
+    ``manifest.json`` is hashed as sorted JSON without its ``inputs``."""
+    digests = {}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        if path.name == "manifest.json":
+            data = json.dumps(_manifest(path), sort_keys=True).encode()
+        else:
+            data = path.read_bytes()
+        digests[path.relative_to(root).as_posix()] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+def numpy_build() -> dict[str, str]:
+    """The numpy version and BLAS that the golden bits belong to."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas.get('version', '')}".strip()}
+
+
+def write_golden() -> int:
+    sys.path.insert(0, str(REPO / "src"))
+    with tempfile.TemporaryDirectory(prefix="clner-golden-") as tmp:
+        golden_recipe(Path(tmp))
+        files = tree_digests(Path(tmp))
+    GOLDEN.write_text(
+        json.dumps({"build": numpy_build(), "files": files}, indent=1, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
+    print(f"{len(files)} file digests written to {GOLDEN.relative_to(REPO)}")
+    return 0
+
+
 def main(argv: list[str]) -> int:
+    if argv == ["--write-golden"]:
+        return write_golden()
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
         return 2

@@ -384,7 +384,8 @@ def step_plan(mode: str, config: RunConfig, bench: SynthesizedBenchmark) -> list
     ValueError. Each split of each task must hold sentences of at most
     max_len tokens and spans of its types only (train, dev: the task's;
     test: its step's learned; *_full: the inventory), and each step
-    training sentences, else a CorpusError."""
+    training sentences, else a CorpusError. A step whose training
+    sentences hold no span of one of its types is logged as a warning."""
     problems = config.validate()
     if problems:
         raise ValueError("invalid run config: " + "; ".join(problems))
@@ -408,6 +409,11 @@ def step_plan(mode: str, config: RunConfig, bench: SynthesizedBenchmark) -> list
         data = (task.train, task.dev) if cl else (bench.noncl_train(step), bench.noncl_dev(step))
         if not data[0]:
             raise CorpusError(f"step {step}: no training sentences")
+        seen = {span.type for sent in data[0] for span in sent.spans}
+        unseen = [t for t in types if t not in seen]
+        if unseen:
+            log.warning("step %d: no training span of %s; those heads train on negatives only",
+                        step, unseen)
         plan.append(PlannedStep(step == 1 or not cl, *data, teacher, types, task.test, learned))
     return plan
 

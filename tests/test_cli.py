@@ -130,7 +130,7 @@ class TestSynthesize:
                          id="ontonotes-layered-nesting-and-CARD-absent-from-train"),
         ],
     )
-    def test_corpus_kinds(self, tmp_path, kind, types, bare, tasks, layered):
+    def test_corpus_kinds(self, tmp_path, caplog, kind, types, bare, tasks, layered):
         """Synthesize from a corpus directory of each kind, train spankl and
         extendner in both modes, and report over the four roots. Few-NERD
         curves keep only the coarse groups, and the last CL step's per-type
@@ -141,7 +141,9 @@ class TestSynthesize:
         synthesize keeps CARD in the inventory and its task, whose training
         sentences then hold no span, and each test file keeps the nested
         spans of the types learned by its step; train runs every step and
-        scores CARD from its step on against all its test spans."""
+        scores CARD from its step on against all its test spans, warning at
+        each step that trains CARD (CL: its own; non-CL: every step from
+        it on) that no training span of it exists."""
         corpus = write_kind_corpus(tmp_path / "corpus", types, bare)
         if layered:
             train = corpus / "train.txt"
@@ -190,6 +192,7 @@ class TestSynthesize:
         for model in ("spankl", "extendner"):
             for mode in ("cl", "noncl"):
                 roots.append(tmp_path / f"{model}-{mode}")
+                caplog.clear()
                 assert main(
                     ["train", "--benchmark", str(out), "--model", model, "--mode", mode,
                      "--epochs", "1", "--set", "d_model=8", "--set", "n_heads=2",
@@ -197,6 +200,11 @@ class TestSynthesize:
                 ) == EXIT_OK
                 assert len(list((roots[-1] / "run_s0" / mode).glob("step_*"))) == tasks
                 if layered:  # CARD is scored from its step on, against all its test spans
+                    warned = [r.getMessage() for r in caplog.records
+                              if r.name == "clner.clrunner" and r.levelname == "WARNING"]
+                    steps = [card_step] if mode == "cl" else range(card_step, tasks + 1)
+                    assert warned == [f"step {step}: no training span of ['CARD']; those heads "
+                                      f"train on negatives only" for step in steps]
                     rows = clrunner.read_table(roots[-1] / "run_s0" / f"metrics_{mode}.tsv")
                     card = [row for row in rows if row["type"] == "CARD"]
                     assert [int(row["step"]) for row in card] == list(range(card_step, tasks + 1))

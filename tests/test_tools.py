@@ -1,8 +1,8 @@
 """The verdict of ``tools/pairs.py``: a metric gains only when the change
 wins at least 9 of at least 10 pairs, the median gap exceeds the
 parent's interquartile range, every run is correct and the change fails
-no larger share of its operations. And the tree comparison and the golden
-run-tree digests of ``tools/identity.py``."""
+no larger share of its operations. And the digest comparison and the
+golden run-tree digests of ``tools/identity.py``."""
 from __future__ import annotations
 
 import importlib.util
@@ -106,27 +106,35 @@ def test_identity_compare_reports_what_differs_beyond_manifest_inputs(tmp_path):
             )
         (root / "same.txt").write_text("x")
     (left / "only.txt").write_text("x")
-    counts, differ = identity.compare(left, right)
-    assert counts == {"files": 1, "manifests": 1}
-    assert differ == ["changed/manifest.json", "only.txt (one side only)"]
+    equal, missing, extra, differ = identity.compare_digests(
+        identity.tree_digests(left), identity.tree_digests(right)
+    )
+    assert equal == ["run/manifest.json", "same.txt"]
+    assert (missing, extra) == (["only.txt"], [])
+    assert differ == ["changed/manifest.json"]
 
 
-def test_golden_run_tree_is_reproduced(tmp_path):
-    """The golden recipe writes the files that ``tests/golden_run_tree.json``
+def _first(names: list[str], cap: int = 20) -> str:
+    """How many ``names`` there are and at most the first ``cap``."""
+    more = f", and {len(names) - cap} more" if len(names) > cap else ""
+    return f"{len(names)}: {', '.join(names[:cap])}{more}"
+
+
+def test_golden_run_tree_is_reproduced():
+    """The recipe writes the files that ``tests/golden_run_tree.json``
     lists and, on the numpy build that wrote it, every byte of each: a
     change to any run output (a model's arithmetic, a record's format)
     fails here unless the goldens are rewritten with ``tools/identity.py
     --write-golden``. On another numpy or BLAS build, only the file list
     is checked, and the test reports the bitwise part as skipped."""
     golden = json.loads(identity.GOLDEN.read_text(encoding="utf-8"))
-    identity.golden_recipe(tmp_path)
-    files = identity.tree_digests(tmp_path)
-    missing = sorted(set(golden["files"]) - set(files))
-    extra = sorted(set(files) - set(golden["files"]))
-    assert not missing and not extra, f"missing: {missing}; not in the goldens: {extra}"
+    files = identity.recipe_digests()
+    _, missing, extra, differ = identity.compare_digests(golden["files"], files)
+    assert not missing and not extra, (
+        f"missing {_first(missing)}; not in the goldens {_first(extra)}"
+    )
     build = identity.numpy_build()
     if build != golden["build"]:
         pytest.skip(f"file list matches; bitwise part skipped: goldens from {golden['build']}, "
                     f"this build is {build}")
-    differ = sorted(name for name, digest in files.items() if golden["files"][name] != digest)
-    assert not differ, f"{len(differ)} of {len(files)} files differ from the goldens: {differ}"
+    assert not differ, f"of {len(files)} files, these differ from the goldens: {_first(differ)}"

@@ -1,33 +1,37 @@
-"""Byte-identity check of run trees against another revision, and the
-golden run-tree digests that tier-1 checks.
+"""Byte identity of run trees: the golden digests that tier-1 checks, and
+the same check against another revision.
 
     python3 tools/identity.py REV
     python3 tools/identity.py --write-golden
 
-Exports REV with ``git archive`` and runs the same recipe on that export
-and on the working tree, each from its own ``src/``:
+``recipe_digests`` runs one recipe in its process through ``cli.main``
+with the importable ``clner`` and ``SOURCE_DATE_EPOCH=1700000000``:
 
 - ``clner synthesize --kind toy --setup split-all --seed 3 --sentences 120``;
 - ``clner train`` for spankl, extendner and addner, each in ``cl`` and
   ``noncl``, with ``--seeds 1,2``, under configs A, B and C below, then
   ``clner report`` over each (config, model)'s two roots;
 - ``clner synthesize --kind fewnerd --setup filter-filter`` from a
-  bare-tag corpus of 8 coarse x 2 fine types, written once so both sides
-  read the same bytes; ``clner train`` for spankl and extendner in both
-  modes under config A, then ``clner report`` over the four roots.
+  bare-tag corpus of 8 coarse x 2 fine types (``write_fewnerd_corpus``);
+  ``clner train`` for spankl and extendner in both modes under config A,
+  then ``clner report`` over the four roots.
 
-Every run sees ``SOURCE_DATE_EPOCH=1700000000`` and one BLAS thread. The
-two output trees are then compared file by file: a ``manifest.json`` is
-compared as JSON without its ``inputs`` (they name the output paths),
-every other file byte for byte. Prints the counts of equal and differing
-files and exits 1 on any difference, including a file present on one side
-only.
+It returns one SHA-256 per output file (``tree_digests``): a
+``manifest.json`` is hashed as JSON without its ``inputs`` (they name the
+output paths), every other file byte for byte.
 
-``--write-golden`` runs the smaller ``golden_recipe`` in this process on
-the working tree's ``src/`` and writes its digests, with this numpy
-build's version and BLAS, to ``tests/golden_run_tree.json``;
-``tests/test_tools.py`` reruns the recipe and compares. A change that
-alters run outputs on purpose rewrites the file and says why.
+``--write-golden`` runs the recipe on the working tree's ``src/`` and
+writes its digests, with this numpy build's version and BLAS, to
+``tests/golden_run_tree.json``; ``tests/test_tools.py`` reruns the recipe
+and compares. A change that alters run outputs on purpose rewrites the
+file and says why.
+
+``REV`` exports that revision with ``git archive`` and runs this file's
+recipe twice, each time in a child process with one BLAS thread that
+imports ``clner`` from one tree's ``src/``: the export's, then the working
+tree's. Prints the counts of equal files and manifests and the names that
+differ, and exits 1 on any difference, including a file present on one
+side only.
 """
 from __future__ import annotations
 
@@ -67,22 +71,6 @@ def export_tree(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def _clner(tree: Path, *args) -> None:
-    env = os.environ | {
-        "PYTHONPATH": str(tree / "src"),
-        "SOURCE_DATE_EPOCH": "1700000000",
-        "OMP_NUM_THREADS": "1",
-        "OPENBLAS_NUM_THREADS": "1",
-        "MKL_NUM_THREADS": "1",
-    }
-    done = subprocess.run(
-        [sys.executable, "-m", "clner.cli", *map(str, args)], env=env, capture_output=True, text=True
-    )
-    if done.returncode:
-        sys.stderr.write(done.stderr)
-        raise SystemExit(f"clner {args[0]} exited {done.returncode} in {tree}")
-
-
 def write_fewnerd_corpus(root: Path) -> None:
     """train/dev/test.txt with bare ``coarse-fine`` tags; each sentence
     names two neighbouring types of FEWNERD_FINE, one token per mention."""
@@ -99,92 +87,58 @@ def write_fewnerd_corpus(root: Path) -> None:
         (root / name).write_text("\n".join(blocks), encoding="utf-8")
 
 
-def _train_and_report(tree: Path, bench: Path, config: Path, models, out: Path, report: Path):
-    """Train each model in both modes into ``out/MODEL-MODE`` with seeds 1
-    and 2, then report over those roots into ``report``."""
-    roots = []
+def _train_runs(data: Path, config: Path, models, root: Path, report: Path) -> list[tuple]:
+    """The CLI arguments that train each model in both modes into
+    ``root/MODEL-MODE`` with seeds 1 and 2, then report over those roots
+    into ``report``."""
+    runs, roots = [], []
     for model in models:
         for mode in MODES:
-            roots.append(out / f"{model}-{mode}")
-            _clner(tree, "train", "--benchmark", bench, "--config", config, "--model", model,
-                   "--mode", mode, "--seeds", "1,2", "--out", roots[-1])
-    _clner(tree, "report", *roots, "--out", report)
+            roots.append(root / f"{model}-{mode}")
+            runs.append(("train", "--benchmark", data, "--config", config, "--model", model,
+                         "--mode", mode, "--seeds", "1,2", "--out", roots[-1]))
+    return runs + [("report", *roots, "--out", report)]
 
 
-def run_recipe(tree: Path, out: Path, corpus: Path) -> None:
-    """The recipe with ``tree``'s code, every output under ``out``."""
-    bench = out / "bench"
-    _clner(tree, "synthesize", "--kind", "toy", "--setup", "split-all", "--seed", 3,
-           "--sentences", 120, "--out", bench)
-    for name, config in CONFIGS.items():
-        path = out / f"config_{name}.txt"
-        path.write_text("".join(f"{k} = {v}\n" for k, v in config.items()), encoding="utf-8")
-        for model in MODELS:
-            _train_and_report(tree, bench, path, [model], out / name,
-                              out / name / f"{model}-report")
-    fewnerd = out / "fewnerd_bench"
-    _clner(tree, "synthesize", "--kind", "fewnerd", "--setup", "filter-filter",
-           "--corpus", corpus, "--out", fewnerd)
-    _train_and_report(tree, fewnerd, out / "config_A.txt", ["spankl", "extendner"],
-                      out / "fewnerd", out / "fewnerd" / "report")
+def recipe_digests() -> dict[str, str]:
+    """Run the recipe in this process and return ``tree_digests`` of its
+    output tree: ``bench``, ``config_NAME.txt`` and, per config,
+    ``NAME/MODEL-MODE`` and ``NAME/MODEL-report``; then ``fewnerd_bench``,
+    ``fewnerd/MODEL-MODE`` and ``fewnerd/report``. The corpus lies
+    outside that tree."""
+    from clner import cli
+
+    with tempfile.TemporaryDirectory(prefix="clner-recipe-") as tmp:
+        corpus, out = Path(tmp) / "fewnerd_corpus", Path(tmp) / "out"
+        write_fewnerd_corpus(corpus)
+        out.mkdir()
+        for name, config in CONFIGS.items():
+            (out / f"config_{name}.txt").write_text(
+                "".join(f"{k} = {v}\n" for k, v in config.items()), encoding="utf-8"
+            )
+        bench, fewnerd = out / "bench", out / "fewnerd_bench"
+        runs = [("synthesize", "--kind", "toy", "--setup", "split-all", "--seed", 3,
+                 "--sentences", 120, "--out", bench)]
+        for name in CONFIGS:
+            for model in MODELS:
+                runs += _train_runs(bench, out / f"config_{name}.txt", [model], out / name,
+                                    out / name / f"{model}-report")
+        runs.append(("synthesize", "--kind", "fewnerd", "--setup", "filter-filter",
+                     "--corpus", corpus, "--out", fewnerd))
+        runs += _train_runs(fewnerd, out / "config_A.txt", ["spankl", "extendner"],
+                            out / "fewnerd", out / "fewnerd" / "report")
+        with mock.patch.dict(os.environ, {"SOURCE_DATE_EPOCH": "1700000000"}):
+            for args in runs:
+                code = cli.main([str(a) for a in args])
+                if code:
+                    raise RuntimeError(f"clner {args[0]} exited {code}")
+        return tree_digests(out)
 
 
 def _manifest(path: Path) -> dict:
     payload = json.loads(path.read_text(encoding="utf-8"))
     payload.pop("inputs", None)
     return payload
-
-
-def compare(left: Path, right: Path) -> tuple[dict[str, int], list[str]]:
-    """Counts of equal files and manifests, and the relative paths that
-    differ or exist on one side only."""
-    names = {p.relative_to(left) for p in left.rglob("*") if p.is_file()}
-    names |= {p.relative_to(right) for p in right.rglob("*") if p.is_file()}
-    counts = {"files": 0, "manifests": 0}
-    differ = []
-    for name in sorted(names):
-        a, b = left / name, right / name
-        if not (a.is_file() and b.is_file()):
-            differ.append(f"{name} (one side only)")
-        elif name.name == "manifest.json":
-            if _manifest(a) == _manifest(b):
-                counts["manifests"] += 1
-            else:
-                differ.append(str(name))
-        elif a.read_bytes() == b.read_bytes():
-            counts["files"] += 1
-        else:
-            differ.append(str(name))
-    return counts, differ
-
-
-def golden_recipe(out: Path) -> None:
-    """In this process, with the importable ``clner``: a toy benchmark of
-    60 sentences in 2 tasks; every model in both modes under config B
-    (``out/B/MODEL-MODE``) and spankl CL under config C, whose beta 0
-    scores a subset of the heads (``out/C/spankl-cl``); seed 1 each; then
-    ``report`` over the config-B roots."""
-    from clner import cli
-
-    bench = out / "bench"
-    for name in ("B", "C"):
-        (out / f"config_{name}.txt").write_text(
-            "".join(f"{k} = {v}\n" for k, v in CONFIGS[name].items()), encoding="utf-8"
-        )
-    trains = [("B", model, mode) for model in MODELS for mode in MODES] + [("C", "spankl", "cl")]
-    runs = [("synthesize", "--kind", "toy", "--setup", "split-all", "--seed", 3,
-             "--sentences", 60, "--tasks", 2, "--out", bench)]
-    for name, model, mode in trains:
-        runs.append(("train", "--benchmark", bench, "--config", out / f"config_{name}.txt",
-                     "--model", model, "--mode", mode, "--seeds", 1,
-                     "--out", out / name / f"{model}-{mode}"))
-    roots = [out / name / f"{model}-{mode}" for name, model, mode in trains if name == "B"]
-    runs.append(("report", *roots, "--out", out / "B" / "report"))
-    with mock.patch.dict(os.environ, {"SOURCE_DATE_EPOCH": "1700000000"}):
-        for args in runs:
-            code = cli.main([str(a) for a in args])
-            if code:
-                raise RuntimeError(f"clner {args[0]} exited {code}")
 
 
 def tree_digests(root: Path) -> dict[str, str]:
@@ -200,6 +154,14 @@ def tree_digests(root: Path) -> dict[str, str]:
     return digests
 
 
+def compare_digests(base: dict[str, str], work: dict[str, str]) -> tuple[list[str], ...]:
+    """The sorted names with equal digests, the names in ``base`` only,
+    in ``work`` only, and in both with different digests."""
+    both = base.keys() & work.keys()
+    return (sorted(n for n in both if base[n] == work[n]), sorted(base.keys() - work.keys()),
+            sorted(work.keys() - base.keys()), sorted(n for n in both if base[n] != work[n]))
+
+
 def numpy_build() -> dict[str, str]:
     """The numpy version and BLAS that the golden bits belong to."""
     import numpy as np
@@ -210,9 +172,7 @@ def numpy_build() -> dict[str, str]:
 
 def write_golden() -> int:
     sys.path.insert(0, str(REPO / "src"))
-    with tempfile.TemporaryDirectory(prefix="clner-golden-") as tmp:
-        golden_recipe(Path(tmp))
-        files = tree_digests(Path(tmp))
+    files = recipe_digests()
     GOLDEN.write_text(
         json.dumps({"build": numpy_build(), "files": files}, indent=1, sort_keys=True) + "\n",
         encoding="utf-8",
@@ -221,22 +181,40 @@ def write_golden() -> int:
     return 0
 
 
+def _child_digests(tree: Path, dest: Path) -> dict[str, str]:
+    """``recipe_digests`` in a child process whose ``clner`` is
+    ``tree``'s, written to ``dest`` (``report`` prints to stdout)."""
+    env = os.environ | {
+        "PYTHONPATH": os.pathsep.join([str(tree / "src"), str(REPO / "tools")]),
+        "OMP_NUM_THREADS": "1",
+        "OPENBLAS_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": "1",
+    }
+    code = ("import identity, json, pathlib, sys; "
+            "pathlib.Path(sys.argv[1]).write_text(json.dumps(identity.recipe_digests()))")
+    done = subprocess.run([sys.executable, "-c", code, str(dest)], env=env, cwd=dest.parent,
+                          capture_output=True, text=True)
+    if done.returncode:
+        sys.stderr.write(done.stderr)
+        raise SystemExit(f"the recipe exited {done.returncode} on {tree}")
+    return json.loads(dest.read_text(encoding="utf-8"))
+
+
 def main(argv: list[str]) -> int:
     if argv == ["--write-golden"]:
         return write_golden()
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
         return 2
-    rev = argv[0]
     with tempfile.TemporaryDirectory(prefix="clner-identity-") as tmp:
         tmp = Path(tmp)
-        export_tree(rev, tmp / "export")
-        corpus = tmp / "fewnerd_corpus"
-        write_fewnerd_corpus(corpus)
-        run_recipe(tmp / "export", tmp / "base", corpus)
-        run_recipe(REPO, tmp / "work", corpus)
-        counts, differ = compare(tmp / "base", tmp / "work")
-    print(f"equal: {counts['files']} files, {counts['manifests']} manifests (without inputs)")
+        export_tree(argv[0], tmp / "export")
+        base = _child_digests(tmp / "export", tmp / "base.json")
+        work = _child_digests(REPO, tmp / "work.json")
+    equal, missing, extra, differ = compare_digests(base, work)
+    manifests = sum(Path(name).name == "manifest.json" for name in equal)
+    print(f"equal: {len(equal) - manifests} files, {manifests} manifests (without inputs)")
+    differ = sorted(differ + [f"{name} (one side only)" for name in missing + extra])
     print(f"differing: {len(differ)}")
     for name in differ:
         print(f"  {name}")

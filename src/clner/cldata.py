@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import logging
+import string
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -326,6 +327,18 @@ def nested_toy_spec(sentence_count: int = 50, nesting: float = 0.6) -> ToyCorpus
     return ToyCorpusSpec(types, _lexicon_for(types), templates, sentence_count, nesting)
 
 
+def pair_toy_spec(types: Sequence[str], sentence_count: int) -> ToyCorpusSpec:
+    """Flat corpus over any type names: each sentence reads ``the <t> met
+    <u> today`` for two cyclic neighbours t, u of ``types``, and each type
+    has three one-token words ``{t.lower()}0`` to ``{t.lower()}2``."""
+    types = tuple(types)
+    lexicons = {t: tuple(LexEntry((f"{t.lower()}{k}",)) for k in range(3)) for t in types}
+    templates = tuple(
+        ("the", f"<{t}>", "met", f"<{u}>", "today") for t, u in zip(types, types[1:] + types[:1])
+    )
+    return ToyCorpusSpec(types, lexicons, templates, sentence_count)
+
+
 def generate_toy_corpus(spec: ToyCorpusSpec, seed: int) -> Corpus:
     """Seeded, reproducible corpus with known gold spans."""
     slot_types = {
@@ -441,6 +454,13 @@ FEWNERD_ORDERS = (
 # each kind's type list, in its first published order
 ONTONOTES_TYPES = ONTONOTES_ORDERS[0]
 FEWNERD_COARSE = FEWNERD_ORDERS[0]
+
+
+def fewnerd_fine_types(per_coarse: int) -> tuple[str, ...]:
+    """``per_coarse`` fine type names per coarse group, ``coarse-a``,
+    ``coarse-b``, ..., over FEWNERD_COARSE in its order; ``coarse_of``
+    maps each back to its group."""
+    return tuple(f"{c}-{f}" for c in FEWNERD_COARSE for f in string.ascii_lowercase[:per_coarse])
 
 
 def _chunk(order: Sequence, n_tasks: int) -> list[tuple]:

@@ -11,8 +11,9 @@ with the importable ``clner`` and ``SOURCE_DATE_EPOCH=1700000000``:
 - ``clner train`` for spankl, extendner and addner, each in ``cl`` and
   ``noncl``, with ``--seeds 1,2``, under configs A, B and C below, then
   ``clner report`` over each (config, model)'s two roots;
-- ``clner synthesize --kind fewnerd --setup filter-filter`` from a
-  bare-tag corpus of 8 coarse x 2 fine types (``write_fewnerd_corpus``);
+- ``clner synthesize --kind fewnerd --setup filter-filter`` from a corpus
+  of ``cldata.pair_toy_spec(cldata.fewnerd_fine_types(2), 80)``, 8 coarse
+  x 2 fine types, generated at seed 0 and cut by ``cldata.split3``;
   ``clner train`` for spankl and extendner in both modes under config A,
   then ``clner report`` over the four roots.
 
@@ -22,23 +23,24 @@ output paths), every other file byte for byte.
 
 ``--write-golden`` runs the recipe on the working tree's ``src/`` and
 writes its digests, with this numpy build's version and BLAS, to
-``tests/golden_run_tree.json``; ``tests/test_tools.py`` reruns the recipe
-and compares. A change that alters run outputs on purpose rewrites the
-file and says why.
+``tests/golden_run_tree.json``, and prints how many entries of the file
+it replaces are unchanged, changed, added and removed;
+``tests/test_tools.py`` reruns the recipe and compares. A change that
+alters run outputs on purpose rewrites the file and says why.
 
 ``REV`` exports that revision with ``git archive`` and runs this file's
 recipe twice, each time in a child process with one BLAS thread that
 imports ``clner`` from one tree's ``src/``: the export's, then the working
 tree's. Prints the counts of equal files and manifests and the names that
 differ, and exits 1 on any difference, including a file present on one
-side only.
+side only. REV's ``clner`` must have the ``cldata`` builders the recipe
+calls.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import os
-import random
 import subprocess
 import sys
 import tempfile
@@ -53,12 +55,7 @@ CONFIG_C = CONFIG_B | {"beta": 0, "freeze_encoder": "true"}
 CONFIGS = {"A": CONFIG_A, "B": CONFIG_B, "C": CONFIG_C}
 MODELS = ("spankl", "extendner", "addner")
 MODES = ("cl", "noncl")
-FEWNERD_FINE = tuple(
-    f"{coarse}-{fine}"
-    for coarse in ("location", "person", "organization", "other",
-                   "product", "building", "art", "event")
-    for fine in ("a", "b")
-)
+FEWNERD_SENTENCES = 80
 
 
 def export_tree(rev: str, dest: Path) -> None:
@@ -69,22 +66,6 @@ def export_tree(rev: str, dest: Path) -> None:
         ["git", "-C", str(REPO), "archive", rev], check=True, capture_output=True
     ).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
-
-
-def write_fewnerd_corpus(root: Path) -> None:
-    """train/dev/test.txt with bare ``coarse-fine`` tags; each sentence
-    names two neighbouring types of FEWNERD_FINE, one token per mention."""
-    rng = random.Random(0)
-    root.mkdir(parents=True)
-    for name, count in (("train.txt", 60), ("dev.txt", 12), ("test.txt", 12)):
-        blocks = []
-        for _ in range(count):
-            k = rng.randrange(len(FEWNERD_FINE))
-            t, u = FEWNERD_FINE[k], FEWNERD_FINE[(k + 1) % len(FEWNERD_FINE)]
-            rows = [("the", "O"), (f"{t}{rng.randrange(3)}", t), ("met", "O"),
-                    (f"{u}{rng.randrange(3)}", u), ("today", "O")]
-            blocks.append("".join(f"{token}\t{tag}\n" for token, tag in rows))
-        (root / name).write_text("\n".join(blocks), encoding="utf-8")
 
 
 def _train_runs(data: Path, config: Path, models, root: Path, report: Path) -> list[tuple]:
@@ -106,11 +87,15 @@ def recipe_digests() -> dict[str, str]:
     ``NAME/MODEL-MODE`` and ``NAME/MODEL-report``; then ``fewnerd_bench``,
     ``fewnerd/MODEL-MODE`` and ``fewnerd/report``. The corpus lies
     outside that tree."""
-    from clner import cli
+    from clner import cldata, cli
 
     with tempfile.TemporaryDirectory(prefix="clner-recipe-") as tmp:
         corpus, out = Path(tmp) / "fewnerd_corpus", Path(tmp) / "out"
-        write_fewnerd_corpus(corpus)
+        corpus.mkdir()
+        spec = cldata.pair_toy_spec(cldata.fewnerd_fine_types(2), FEWNERD_SENTENCES)
+        parts = cldata.split3(cldata.generate_toy_corpus(spec, seed=0))
+        for name, part in zip(("train", "dev", "test"), parts):
+            cldata.write_corpus(corpus / f"{name}.txt", part)
         out.mkdir()
         for name, config in CONFIGS.items():
             (out / f"config_{name}.txt").write_text(
@@ -172,12 +157,16 @@ def numpy_build() -> dict[str, str]:
 
 def write_golden() -> int:
     sys.path.insert(0, str(REPO / "src"))
+    old = json.loads(GOLDEN.read_text(encoding="utf-8"))["files"] if GOLDEN.exists() else {}
     files = recipe_digests()
     GOLDEN.write_text(
         json.dumps({"build": numpy_build(), "files": files}, indent=1, sort_keys=True) + "\n",
         encoding="utf-8",
     )
-    print(f"{len(files)} file digests written to {GOLDEN.relative_to(REPO)}")
+    equal, removed, added, changed = compare_digests(old, files)
+    print(f"{len(files)} file digests written to {GOLDEN.relative_to(REPO)}; against the "
+          f"file it replaced: {len(equal)} unchanged, {len(changed)} changed, "
+          f"{len(added)} added, {len(removed)} removed")
     return 0
 
 

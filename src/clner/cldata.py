@@ -7,7 +7,13 @@ tags in the hierarchical style (``person-actor``), where contiguous equal
 tags form one mention and the part before the first ``-`` names the
 coarse group. Because plain IOB cannot express nested mentions, the tag
 field may hold several ``|``-separated layers; flat files are simply the
-one-layer case. Span positions are 1-based inclusive.
+one-layer case. Span positions are 1-based inclusive. A tag of an empty
+type (an empty field, ``B-``, an empty layer) is a CorpusError.
+
+Toy corpora come from a ToyCorpusSpec: ``default_toy_spec`` and
+``nested_toy_spec`` over a fixed six-type lexicon with nesting, and
+``pair_toy_spec`` over any type names, flat, one token per mention; with
+``fewnerd_fine_types`` it builds the Few-NERD-kind corpora.
 
 All synthesis functions are pure given (corpus, sequence, setup, seed)
 and freely parallelizable.
@@ -71,7 +77,6 @@ def coarse_of(fine: str) -> str:
 class Corpus:
     sentences: list[Sentence]
     inventory: tuple[str, ...] = ()
-    repair_count: int = 0
 
     def __post_init__(self):
         if not self.inventory:
@@ -149,24 +154,34 @@ def read_text(path) -> str:
 
 def parse_corpus(path) -> Corpus:
     """Read a column file into a Corpus. Raises CorpusError with the line
-    number for rows that are not exactly ``token<TAB>tag``."""
-    blocks: list[list[list[str]]] = [[]]
+    number for rows that are not exactly ``token<TAB>tag`` and for tags of
+    an empty type (``alice<TAB>``, ``B-``, the empty layer of ``B-PER|``)."""
+    blocks: dict[int, list[list[str]]] = {}  # each sentence's rows by its first line number
+    first = 0
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
-            if blocks[-1]:
-                blocks.append([])
+            first = 0
             continue
         fields = line.split("\t")
         if len(fields) != 2 or not fields[0]:
             raise CorpusError(
                 f"{path}:{lineno}: expected 'token<TAB>tag', got {line!r}"
             )
-        blocks[-1].append(fields)
-    parsed = [parse_sentence_block(rows) for rows in blocks if rows]
-    repairs = sum(r for _, r in parsed)
+        first = first or lineno
+        blocks.setdefault(first, []).append(fields)
+    sentences, repairs = [], 0
+    for first, rows in blocks.items():
+        sentence, repaired = parse_sentence_block(rows)
+        for span in sentence.spans:
+            if not span.type:
+                row = rows[span.start - 1]
+                raise CorpusError(f"{path}:{first + span.start - 1}: empty type in tag "
+                                  f"field {row[1]!r} of {row[0]!r}")
+        sentences.append(sentence)
+        repairs += repaired
     if repairs:
         log.warning("%s: repaired %d orphan I- tags", path, repairs)
-    return Corpus([sent for sent, _ in parsed], repair_count=repairs)
+    return Corpus(sentences)
 
 
 def _assign_layers(spans: Sequence[Span]) -> list[list[Span]]:
@@ -211,10 +226,7 @@ def load_corpus_dir(path) -> tuple[Corpus, Corpus, Corpus]:
             raise CorpusError(f"corpus directory {path} is missing {name}")
         parts.append(parse_corpus(f))
     inventory = tuple(sorted(set().union(*(p.inventory for p in parts))))
-    return tuple(
-        Corpus(p.sentences, inventory=inventory, repair_count=p.repair_count)
-        for p in parts
-    )
+    return tuple(Corpus(p.sentences, inventory=inventory) for p in parts)
 
 
 # ---------------------------------------------------------------------------

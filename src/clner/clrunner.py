@@ -524,7 +524,8 @@ def write_run_records(out_dir, result: RunResult) -> None:
     keep only the coarse groups, as fine types are named "coarse-fine")."""
     key = (result.config.model, result.mode, result.setup, result.permutation, result.config.seed)
     curve_types = sorted(
-        {t for r in result.steps for t in r.eval.scores if result.kind != "fewnerd" or "-" not in t}
+        {t for r in result.steps for t in r.eval.scores
+         if result.kind != "fewnerd" or coarse_of(t) == t}
     )
     metrics, summary, curves = [], [], []
     for r in result.steps:

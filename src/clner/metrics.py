@@ -115,7 +115,6 @@ class StepEval:
     """Scores for one incremental step on its test set."""
 
     step: int
-    counts: dict[str, Counts]
     scores: dict[str, TypeScore]
     macro: float
 
@@ -144,4 +143,4 @@ def evaluate_step(
         learned_coarse = sorted({grouping[t] for t in learned_types})
         macro = macro_f1({c: s.f1 for c, s in coarse_scores.items()}, learned_coarse)
         scores.update(coarse_scores)
-    return StepEval(step=step, counts=counts, scores=scores, macro=macro)
+    return StepEval(step=step, scores=scores, macro=macro)

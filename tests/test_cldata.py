@@ -1,6 +1,8 @@
 """Corpus parsing, toy generation, and benchmark synthesis."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -54,18 +56,27 @@ class TestParseCorpus:
         )
         assert [cldata.coarse_of(t) for t in corpus.inventory] == ["location", "person"]
 
-    def test_orphan_inside_tag_repaired_with_count(self, tmp_path):
+    def test_orphan_inside_tag_repaired_with_count(self, tmp_path, caplog):
         path = tmp_path / "c.txt"
         path.write_text("a\tO\nb\tI-PER\nc\tI-ORG\n")
         corpus = parse_corpus(path)
-        assert corpus.repair_count == 2
+        assert [r.getMessage() for r in caplog.records] == [f"{path}: repaired 2 orphan I- tags"]
         assert corpus.sentences[0].spans == (Span(2, 2, "PER"), Span(3, 3, "ORG"))
 
     def test_malformed_row_reports_line_number(self, tmp_path):
+        """A row that is not ``token<TAB>tag`` and a tag of an empty type
+        (an empty tag, a bare ``B-``, an empty ``|`` layer) are refused
+        with the line; an empty type used to be parsed as a type ``''``."""
         path = tmp_path / "c.txt"
-        path.write_text("good\tO\n\nbad line without tab\n")
-        with pytest.raises(CorpusError, match=r"c\.txt:3"):
-            parse_corpus(path)
+        for row, message in [
+            ("bad line without tab", "expected 'token<TAB>tag'"),
+            ("alice\t", "empty type in tag field '' of 'alice'"),
+            ("alice\tB-", "empty type in tag field 'B-' of 'alice'"),
+            ("alice\tB-PER|", "empty type in tag field 'B-PER|' of 'alice'"),
+        ]:
+            path.write_text(f"good\tO\n\nbob\tB-PER\n{row}\n")
+            with pytest.raises(CorpusError, match=rf"c\.txt:4: {re.escape(message)}"):
+                parse_corpus(path)
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(CorpusError):
@@ -157,6 +168,27 @@ class TestToyCorpus:
     def test_non_entity_sentences_present(self):
         corpus = generate_toy_corpus(default_toy_spec(300), seed=4)
         assert any(not s.spans for s in corpus.sentences)
+
+    def test_pair_spec_over_the_fewnerd_fine_types(self):
+        """Two fine types per coarse group, named ``coarse-a`` and
+        ``coarse-b`` in FEWNERD_COARSE's order; three one-token words per
+        type and one ``the <t> met <u> today`` template per cyclic pair."""
+        types = cldata.fewnerd_fine_types(2)
+        assert types[:4] == ("location-a", "location-b", "person-a", "person-b")
+        assert len(types) == 16 and types[-1] == "event-b"
+        assert [cldata.coarse_of(t) for t in types[::2]] == list(cldata.FEWNERD_COARSE)
+        assert [cldata.coarse_of(t) for t in types[1::2]] == list(cldata.FEWNERD_COARSE)
+        spec = cldata.pair_toy_spec(types, 40)
+        assert spec.types == types and spec.sentence_count == 40 and spec.nesting == 0.0
+        assert spec.lexicons["art-b"] == tuple(
+            cldata.LexEntry((word,)) for word in ("art-b0", "art-b1", "art-b2")
+        )
+        assert spec.templates[0] == ("the", "<location-a>", "met", "<location-b>", "today")
+        assert spec.templates[-1] == ("the", "<event-b>", "met", "<location-a>", "today")
+        assert len(spec.templates) == 16
+        corpus = generate_toy_corpus(spec, seed=0)
+        assert corpus.inventory == tuple(sorted(types))
+        assert all(len(s.tokens) == 5 and len(s.spans) == 2 for s in corpus.sentences)
 
 
 class TestSplit3:

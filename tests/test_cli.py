@@ -13,9 +13,9 @@ from clner import clrunner
 from clner.cldata import (
     FEWNERD_COARSE,
     ONTONOTES_TYPES,
-    LexEntry,
-    ToyCorpusSpec,
+    fewnerd_fine_types,
     generate_toy_corpus,
+    pair_toy_spec,
     parse_corpus,
     split3,
     write_corpus,
@@ -55,15 +55,11 @@ TRAIN_FAST = [
 ]
 
 
-def write_kind_corpus(root: Path, types, bare: bool = False) -> Path:
-    """A corpus directory (train/dev/test.txt) whose sentences each name
-    two of ``types``, one token per mention; ``bare`` writes Few-NERD-style
-    tags without the B-/I- prefixes."""
-    lexicons = {t: tuple(LexEntry((f"{t.lower()}{k}",)) for k in range(3)) for t in types}
-    templates = tuple(
-        ("the", f"<{t}>", "met", f"<{u}>", "today") for t, u in zip(types, types[1:] + types[:1])
-    )
-    corpus = generate_toy_corpus(ToyCorpusSpec(tuple(types), lexicons, templates, 80), seed=0)
+def write_kind_corpus(root: Path, types, bare: bool = False, sentences: int = 80) -> Path:
+    """A corpus directory (train/dev/test.txt) of ``pair_toy_spec(types,
+    sentences)`` at seed 0; ``bare`` writes Few-NERD-style tags without the
+    B-/I- prefixes."""
+    corpus = generate_toy_corpus(pair_toy_spec(types, sentences), seed=0)
     root.mkdir()
     for name, part in zip(("train.txt", "dev.txt", "test.txt"), split3(corpus)):
         write_corpus(root / name, part)
@@ -73,7 +69,9 @@ def write_kind_corpus(root: Path, types, bare: bool = False) -> Path:
     return root
 
 
-FEWNERD_FINE = [f"{coarse}-{fine}" for coarse in FEWNERD_COARSE for fine in ("a", "b")]
+FEWNERD_FINE = fewnerd_fine_types(2)
+# at 320 sentences every split-all CL step trains on a span of each of its types
+FEWNERD_SENTENCES = 320
 
 
 class TestSynthesize:
@@ -144,7 +142,8 @@ class TestSynthesize:
         scores CARD from its step on against all its test spans, warning at
         each step that trains CARD (CL: its own; non-CL: every step from
         it on) that no training span of it exists."""
-        corpus = write_kind_corpus(tmp_path / "corpus", types, bare)
+        sentences = FEWNERD_SENTENCES if kind == "fewnerd" else 80
+        corpus = write_kind_corpus(tmp_path / "corpus", types, bare, sentences)
         if layered:
             train = corpus / "train.txt"
             train.write_text(train.read_text(encoding="utf-8").replace("B-CARD", "O"),
@@ -199,9 +198,11 @@ class TestSynthesize:
                      "--set", "d_span=4", "--out", str(roots[-1])]
                 ) == EXIT_OK
                 assert len(list((roots[-1] / "run_s0" / mode).glob("step_*"))) == tasks
-                if layered:  # CARD is scored from its step on, against all its test spans
-                    warned = [r.getMessage() for r in caplog.records
-                              if r.name == "clner.clrunner" and r.levelname == "WARNING"]
+                warned = [r.getMessage() for r in caplog.records
+                          if r.name == "clner.clrunner" and r.levelname == "WARNING"]
+                if not layered:
+                    assert warned == []
+                else:  # CARD is scored from its step on, against all its test spans
                     steps = [card_step] if mode == "cl" else range(card_step, tasks + 1)
                     assert warned == [f"step {step}: no training span of ['CARD']; those heads "
                                       f"train on negatives only" for step in steps]

@@ -480,9 +480,8 @@ class TestRunRecords:
     @staticmethod
     def step(step, found):
         """A StepEval whose type ``t`` scored ``found[t]`` true positives of 4."""
-        counts = {t: Counts(tp, 0, 4 - tp) for t, tp in found.items()}
-        scores = {t: TypeScore.from_counts(c) for t, c in counts.items()}
-        return StepEval(step, counts, scores, 0.5)
+        scores = {t: TypeScore.from_counts(Counts(tp, 0, 4 - tp)) for t, tp in found.items()}
+        return StepEval(step, scores, 0.5)
 
     @pytest.mark.parametrize(
         "kind, steps, want",

@@ -120,15 +120,18 @@ def _first(names: list[str], cap: int = 20) -> str:
     return f"{len(names)}: {', '.join(names[:cap])}{more}"
 
 
-def test_golden_run_tree_is_reproduced():
+def test_golden_run_tree_is_reproduced(caplog):
     """The recipe writes the files that ``tests/golden_run_tree.json``
-    lists and, on the numpy build that wrote it, every byte of each: a
-    change to any run output (a model's arithmetic, a record's format)
-    fails here unless the goldens are rewritten with ``tools/identity.py
-    --write-golden``. On another numpy or BLAS build, only the file list
+    lists, with no step-plan warning (every step trains on a span of each
+    of its types), and, on the numpy build that wrote it, every byte of
+    each: a change to any run output (a model's arithmetic, a record's
+    format) fails here unless the goldens are rewritten with
+    ``tools/identity.py --write-golden``. On another numpy or BLAS build, only the file list
     is checked, and the test reports the bitwise part as skipped."""
     golden = json.loads(identity.GOLDEN.read_text(encoding="utf-8"))
     files = identity.recipe_digests()
+    assert [r.getMessage() for r in caplog.records
+            if r.name == "clner.clrunner" and r.levelname == "WARNING"] == []
     _, missing, extra, differ = identity.compare_digests(golden["files"], files)
     assert not missing and not extra, (
         f"missing {_first(missing)}; not in the goldens {_first(extra)}"

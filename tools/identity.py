@@ -55,7 +55,6 @@ CONFIG_C = CONFIG_B | {"beta": 0, "freeze_encoder": "true"}
 CONFIGS = {"A": CONFIG_A, "B": CONFIG_B, "C": CONFIG_C}
 MODELS = ("spankl", "extendner", "addner")
 MODES = ("cl", "noncl")
-FEWNERD_SENTENCES = 80
 
 
 def export_tree(rev: str, dest: Path) -> None:
@@ -92,7 +91,7 @@ def recipe_digests() -> dict[str, str]:
     with tempfile.TemporaryDirectory(prefix="clner-recipe-") as tmp:
         corpus, out = Path(tmp) / "fewnerd_corpus", Path(tmp) / "out"
         corpus.mkdir()
-        spec = cldata.pair_toy_spec(cldata.fewnerd_fine_types(2), FEWNERD_SENTENCES)
+        spec = cldata.pair_toy_spec(cldata.fewnerd_fine_types(2), 80)
         parts = cldata.split3(cldata.generate_toy_corpus(spec, seed=0))
         for name, part in zip(("train", "dev", "test"), parts):
             cldata.write_corpus(corpus / f"{name}.txt", part)
